@@ -20,8 +20,8 @@ from fanobase import (
 # double cover.  Its tautological class embeds it as a variety of
 # minimal degree.
 w = Scroll(5, 1, 0)
-degree, ambient, minimal = minimal_degree_data(w)
-print(f"{w!r}: degree {degree} in P{ambient}, minimal degree: {minimal}")
+degree, ambient = minimal_degree_data(w)
+print(f"{w!r}: degree {degree} in P{ambient}, codimension {ambient - w.rank} = degree - 1")
 
 # Section counts are sums over fiberwise monomials.  The class (h, f)
 # is h*O(1) + f*F, so O(4) - 8F is written (4, -8).

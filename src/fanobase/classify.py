@@ -20,7 +20,7 @@ of the base curve (a >= b >= -2):
 claim of a case through the calculus modules.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -75,10 +75,6 @@ class ClassificationCase:
     construction: str
     assumes: tuple = ()
     notes: str = ""
-    checks: tuple = field(default=(), compare=False)
-
-    def with_checks(self, checks) -> "ClassificationCase":
-        return replace(self, checks=tuple(checks))
 
 
 def prune(a: int, b: int) -> CaseVerdict:
@@ -214,8 +210,7 @@ def _checks_quadric_sextic(case: ClassificationCase) -> list:
     full = WeightedCI((1, 1, 1, 1, 2, 3), (2, 6))
     minimal = WeightedCI((1, 1, 1, 1, 3), (6,))
     degree, integral = wps.anticanonical_degree(full)
-    checks = _rr_checks()
-    checks += [
+    return _rr_checks() + [
         CheckResult(
             "two presentations share one Hilbert series",
             wps.hilbert_coeffs(full, 12),
@@ -246,14 +241,13 @@ def _checks_quadric_sextic(case: ClassificationCase) -> list:
             k3pencil.dot(PencilClass(1, 2), PencilClass(1, 0)),
         ),
     ]
-    return checks
 
 
 def _checks_ruled_sextic(case: ClassificationCase) -> list:
     sextic = WeightedCI((1, 1, 1, 2, 3), (6,))
     degree, integral = wps.anticanonical_degree(sextic)
     closed_form = [1 + k * (8 + 3 * k + k * k) // 6 for k in range(21)]
-    checks = [
+    return [
         CheckResult(
             "blowup degree",
             4,
@@ -282,7 +276,6 @@ def _checks_ruled_sextic(case: ClassificationCase) -> list:
         CheckResult("degree from pencil form", case.degree, k3pencil.fano_degree(case.m)),
         CheckResult("curve base locus", 1, k3pencil.base_locus_dimension(case.m)),
     ]
-    return checks
 
 
 def _checks_product(case: ClassificationCase) -> list:
@@ -325,7 +318,7 @@ def _checks_cone(case: ClassificationCase) -> list:
     pulled = k3pencil.cover_pullback(taut_on_sigma4)
     reduced = k3pencil.blowup_section_reduce(pulled)
 
-    checks = [
+    return [
         CheckResult(
             "branch analysis verdict",
             cover.Verdict.PASSES_DU_VAL_NECESSARY,
@@ -391,18 +384,26 @@ def _checks_cone(case: ClassificationCase) -> list:
         ),
         CheckResult("curve base locus", 1, k3pencil.base_locus_dimension(m)),
     ]
-    return checks
+
+
+_SUITES = {
+    PruneKind.CONE: _checks_cone,
+    PruneKind.RULED_SEXTIC: _checks_ruled_sextic,
+    PruneKind.PRODUCT: _checks_product,
+}
 
 
 def case_checks(case: ClassificationCase) -> list:
-    """Evaluate the full check suite of a case; never raises on a failing check."""
-    if case.label == "i":
+    """Evaluate the suite of the case's kind; never raises on a failing check.
+
+    The point case has no normal bundle; the others follow :func:`prune`.
+    """
+    if case.nb is None:
         return _checks_quadric_sextic(case)
-    if case.label == "ii-a":
-        return _checks_ruled_sextic(case)
-    if case.label == "ii-b":
-        return _checks_product(case)
-    return _checks_cone(case)
+    verdict = prune(case.nb.a, case.nb.b)
+    if verdict.kind is PruneKind.EXCLUDED:
+        raise OutOfRange(f"splitting type ({case.nb.a}, {case.nb.b}) is excluded: {verdict.reason}")
+    return _SUITES[verdict.kind](case)
 
 
 def verify_case(case: ClassificationCase) -> list:

@@ -7,7 +7,6 @@ checks passed), 1 check failure, 2 usage error, 3 domain error.
 """
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -23,7 +22,7 @@ from .k3pencil import (
     fano_degree,
     saint_donat_form,
 )
-from .report import build_report
+from .report import build_report, to_json
 from .scroll import DivisorClass, Scroll, h0, intersect, monomial_support
 from .wps import WeightedCI, hilbert_coeffs, infer_ring
 
@@ -58,31 +57,38 @@ def _int_pair(text: str) -> tuple:
     return values
 
 
-def _print_report(report, as_json: bool) -> int:
-    if as_json:
-        print(report.to_json())
-    else:
-        current = None
-        for record in report.records():
-            if record["case"] != current:
-                current = record["case"]
-                print(f"== case {current}")
-            status = "ok  " if record["pass"] else "FAIL"
-            print(
-                f"  {status} {record['name']}: expected {record['expected']}, "
-                f"got {record['got']}"
-            )
-        summary = report.summary
-        print(
-            f"summary: {summary['passed']} passed, {summary['failed']} failed "
-            f"({'all green' if report.all_passed else 'failures present'})"
+def _emit(data: dict, as_json: bool, render) -> int:
+    """Print ``data`` as JSON or as ``render(data)``; exit 1 if its summary counts failures."""
+    print(to_json(data) if as_json else render(data))
+    return 1 if data.get("summary", {}).get("failed") else 0
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _verify_text(data: dict) -> str:
+    lines = []
+    current = None
+    for record in data["checks"]:
+        if record["case"] != current:
+            current = record["case"]
+            lines.append(f"== case {current}")
+        status = "ok  " if record["pass"] else "FAIL"
+        lines.append(
+            f"  {status} {record['name']}: expected {record['expected']}, got {record['got']}"
         )
-    return 0 if report.all_passed else 1
+    summary = data["summary"]
+    lines.append(
+        f"summary: {summary['passed']} passed, {summary['failed']} failed "
+        f"({'failures present' if summary['failed'] else 'all green'})"
+    )
+    return "\n".join(lines)
 
 
 def _cmd_verify(args) -> int:
     report = build_report(__version__, max_degree=args.max_degree)
-    return _print_report(report, args.json)
+    return _emit(report.to_dict(), args.json, _verify_text)
 
 
 def _cmd_scroll(args) -> int:
@@ -91,7 +97,7 @@ def _cmd_scroll(args) -> int:
         print(h0(scroll, args.klass))
     elif args.scroll_op == "support":
         for e in sorted(monomial_support(scroll, args.klass), reverse=True):
-            print(",".join(str(v) for v in e))
+            print(_csv(e))
     else:  # intersect
         classes = args.classes if args.classes else []
         if args.klass is not None:
@@ -126,28 +132,28 @@ def _cmd_k3(args) -> int:
 def _cmd_wps(args) -> int:
     if args.wps_op == "hilbert":
         ci = WeightedCI(args.weights, args.degrees)
-        print(",".join(str(c) for c in hilbert_coeffs(ci, args.max)))
+        print(_csv(hilbert_coeffs(ci, args.max)))
     else:  # infer
         gens, rels = infer_ring(list(args.series))
-        print("generators " + ",".join(str(g) for g in gens))
-        print("relations " + (",".join(str(r) for r in rels) if rels else "(none)"))
+        print("generators " + _csv(gens))
+        print("relations " + (_csv(rels) if rels else "(none)"))
     return 0
+
+
+def _cover_text(data: dict) -> str:
+    return "\n".join([
+        f"m {data['m']}",
+        f"base F({_csv(data['base'])})",
+        f"branch {_csv(data['branch'])}",
+        f"fixed-component {_csv(data['b_class'])} multiplicity {data['b_mult']}",
+        f"residual {_csv(data['residual'])}",
+        f"fiber-multiplicity {data['fiber_mult']}",
+        f"verdict {data['verdict']}",
+    ])
 
 
 def _cmd_cover(args) -> int:
-    report = analyze_cover(args.m)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0
-    branch = report.residual_class + report.b_mult * report.b_class
-    print(f"m {report.m}")
-    print(f"base {report.base!r}")
-    print(f"branch {branch.h},{branch.f}")
-    print(f"fixed-component {report.b_class.h},{report.b_class.f} multiplicity {report.b_mult}")
-    print(f"residual {report.residual_class.h},{report.residual_class.f}")
-    print(f"fiber-multiplicity {report.fiber_mult}")
-    print(f"verdict {report.verdict.value}")
-    return 0
+    return _emit(analyze_cover(args.m).to_dict(), args.json, _cover_text)
 
 
 def _cmd_classify(args) -> int:

@@ -73,6 +73,7 @@ class BranchReport:
     verdict: Verdict
 
     def to_dict(self) -> dict:
+        """The one output record: CLI text and JSON render it; ``branch`` is D = R + B."""
         branch = self.residual_class + self.b_class
         return {
             "m": self.m,

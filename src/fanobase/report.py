@@ -1,9 +1,9 @@
 """Machine-readable verification reports.
 
 A report is a flat list of check records, each tagged with its case
-label, plus summary counts.  Serialization is deterministic (sorted
-keys, fixed indentation), so a parsed report re-serializes to the
-identical byte string.
+label, plus summary counts derived from them.  Serialization is
+deterministic (sorted keys, fixed indentation), so a parsed report
+re-serializes to the identical byte string.
 """
 
 import json
@@ -14,35 +14,37 @@ from fractions import Fraction
 from .classify import case_checks, enumerate_cases
 
 
+def to_json(data: dict) -> str:
+    """The one JSON layout of every output dict: sorted keys, two-space indent."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
 @dataclass(frozen=True)
 class Report:
+    """Check records ``{case, name, rule, expected, got, pass}`` in table order."""
+
     version: str
     checks: tuple
-    summary: dict
 
     @property
-    def all_passed(self) -> bool:
-        return self.summary["failed"] == 0
+    def summary(self) -> dict:
+        passed = sum(record["pass"] for record in self.checks)
+        return {"passed": passed, "failed": len(self.checks) - passed}
 
     def to_dict(self) -> dict:
         return {
             "version": self.version,
             "checks": [dict(record) for record in self.checks],
-            "summary": dict(self.summary),
+            "summary": self.summary,
         }
 
-    def records(self) -> list:
-        return [dict(record) for record in self.checks]
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self.to_dict())
 
 
 def _jsonable(value):
     """Exact-integer JSON encoding; no floats ever appear in a report."""
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
@@ -50,32 +52,24 @@ def _jsonable(value):
         return value.value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    return str(value)
+    raise TypeError(f"no exact JSON encoding for {type(value).__name__} value {value!r}")
 
 
 def build_report(version: str, max_degree: int | None = None) -> Report:
     """Verification report over all cases (optionally capped by degree)."""
-    records = []
-    passed = failed = 0
-    for case in enumerate_cases():
-        if max_degree is not None and case.degree > max_degree:
-            continue
-        for check in case_checks(case):
-            ok = check.passed
-            passed += ok
-            failed += not ok
-            records.append(
-                {
-                    "case": case.label,
-                    "name": check.name,
-                    "rule": check.rule,
-                    "expected": _jsonable(check.expected),
-                    "got": _jsonable(check.got),
-                    "pass": ok,
-                }
-            )
     return Report(
         version=version,
-        checks=tuple(tuple(r.items()) for r in records),
-        summary={"passed": passed, "failed": failed},
+        checks=tuple(
+            {
+                "case": case.label,
+                "name": check.name,
+                "rule": check.rule,
+                "expected": _jsonable(check.expected),
+                "got": _jsonable(check.got),
+                "pass": check.passed,
+            }
+            for case in enumerate_cases()
+            if max_degree is None or case.degree <= max_degree
+            for check in case_checks(case)
+        ),
     )

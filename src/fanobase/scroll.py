@@ -37,11 +37,6 @@ from .errors import (
     TooFewSummands,
 )
 
-# Cap on the h^0 chain walked by fixed_component_multiplicity; guarantees
-# termination when the component class is (0, 0) or similarly degenerate.
-CHAIN_CAP = 64
-
-
 class _Infinite:
     """Multiplicity of the empty system; larger than every integer."""
 
@@ -223,20 +218,22 @@ def canonical_class(s: Scroll) -> DivisorClass:
 def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClass) -> int:
     """Number of copies of the rigid divisor ``comp`` fixed in ``|sys|``.
 
-    Requires h^0(comp) = 1 (so comp has a unique effective member) and
-    h^0(sys) > 0.  Multiplication by the section of comp embeds
+    Requires h^0(comp) = 1 (a unique effective member), comp != (0, 0)
+    and h^0(sys) > 0.  Multiplication by the section of comp embeds
     H^0(sys - comp) into H^0(sys); equality of dimensions certifies
     that every member contains comp.  Walks the chain until the first
-    h^0 drop, capped at CHAIN_CAP steps so degenerate inputs such as
-    comp = (0, 0) terminate (the cap value is then returned).
+    h^0 drop, which comes within sys.h // comp.h + 1 steps: every rigid
+    class other than (0, 0) has comp.h >= 1.
     """
     if h0(s, comp) != 1:
         raise NotRigid(f"component {comp} on {s!r} has h0 = {h0(s, comp)}, need 1")
+    if comp == DivisorClass(0, 0):
+        raise NotRigid(f"the trivial class {comp} is contained in every system any number of times")
     base = h0(s, sys)
     if base == 0:
         raise EmptySystem(f"system {sys} on {s!r} is empty")
     mu = 0
-    while mu < CHAIN_CAP and h0(s, sys - (mu + 1) * comp) == base:
+    while h0(s, sys - (mu + 1) * comp) == base:
         mu += 1
     return mu
 
@@ -277,12 +274,10 @@ def minimal_degree_data(s: Scroll):
     """Degree and ambient dimension of the image of the tautological map.
 
     For dn >= 0 the image in P^(delta + n - 1) is a (cone over a)
-    scroll of degree delta; the returned flag records the minimal-degree
-    identity degree = codim + 1, which holds identically and is kept as
-    a cross-check.
+    scroll of degree delta, so degree = codim + 1: a variety of minimal
+    degree.
     """
     if s.twists[-1] < 0:
         raise NegativeTwist(f"{s!r} has a negative twist; no morphism onto a scroll cone")
     delta = s.delta()
-    ambient = delta + s.rank - 1
-    return delta, ambient, delta == (ambient - s.rank) + 1
+    return delta, delta + s.rank - 1

@@ -1,5 +1,6 @@
 """The thirteen-case table, the (a, b) pruning, and the cross-module checks."""
 
+import dataclasses
 import time
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 
 from fanobase import (
     CheckFailure,
+    NormalBundle,
     OutOfRange,
     PruneKind,
     analyze_cover,
@@ -17,6 +19,7 @@ from fanobase import (
     prune,
     verify_case,
 )
+from fanobase.classify import product_case
 
 
 def test_thirteen_cases_with_expected_degrees():
@@ -96,8 +99,13 @@ def test_out_of_family_cone_case_fails_at_branch_analysis():
     assert any(not c.passed for c in results)
 
 
-def test_checks_attach_to_case():
-    case = enumerate_cases()[0]
-    verified = case.with_checks(verify_case(case))
-    assert verified.label == case.label
-    assert len(verified.checks) > 0
+def test_suite_follows_case_kind_not_label():
+    for case in enumerate_cases():
+        renamed = dataclasses.replace(case, label="renamed")
+        assert [c.name for c in case_checks(renamed)] == [c.name for c in case_checks(case)]
+
+
+def test_excluded_splitting_type_has_no_suite():
+    excluded = dataclasses.replace(product_case(), nb=NormalBundle(1, 1))
+    with pytest.raises(OutOfRange):
+        case_checks(excluded)

@@ -1,10 +1,18 @@
 """Command line surface: outputs, exit codes, report determinism."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
 from fanobase.cli import main
+from fanobase.report import _jsonable
+
+# verify-paper outputs pinned byte for byte (sha256 of stdout, newline included)
+VERIFY_JSON_SHA256 = "7368d7b6fe338795b483d34d815e48dc7acdb4f66bec22715b4e71126e9ea87a"
+VERIFY_JSON_BYTES = 41493
+VERIFY_TEXT_SHA256 = "e3ca4a7ceffe57007628663e8914c9423caf0413e392bb595fa5a92a326e148d"
 
 
 def run(capsys, *argv):
@@ -91,6 +99,35 @@ def test_cover_analyze_json(capsys):
     assert data["verdict"] == "passes-du-val-necessary"
 
 
+@pytest.mark.parametrize("m", range(3, 16))
+def test_cover_analyze_text_carries_the_json_values(capsys, m):
+    _, text, _ = run(capsys, "cover", "analyze", "--m", str(m))
+    _, out, _ = run(capsys, "cover", "analyze", "--m", str(m), "--json")
+    data = json.loads(out)
+    expected = {
+        "m": [data["m"]],
+        "base": data["base"],
+        "branch": data["branch"],
+        "fixed-component": data["b_class"] + [data["b_mult"]],
+        "residual": data["residual"],
+        "fiber-multiplicity": [data["fiber_mult"]],
+    }
+    seen = []
+    for line in text.splitlines():
+        key, rest = line.split(" ", 1)
+        seen.append(key)
+        if key == "verdict":
+            assert rest == data["verdict"]
+        else:
+            assert [int(v) for v in re.findall(r"-?\d+", rest)] == expected[key], line
+    assert seen == list(expected) + ["verdict"]
+
+
+def test_jsonable_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        _jsonable(object())
+
+
 def test_classify_enumerate(capsys):
     code, out, _ = run(capsys, "classify", "enumerate")
     assert code == 0
@@ -125,6 +162,14 @@ def test_verify_paper_json_round_trip(capsys):
     parsed = json.loads(out)
     assert parsed["summary"]["failed"] == 0
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
+
+
+def test_verify_paper_outputs_pinned(capsys):
+    _, out, _ = run(capsys, "verify-paper", "--json")
+    assert len(out.encode()) == VERIFY_JSON_BYTES
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
+    _, text, _ = run(capsys, "verify-paper")
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_TEXT_SHA256
 
 
 def test_verify_paper_deterministic(capsys):

@@ -238,9 +238,10 @@ def test_fixed_component_chain_property():
         assert h0(s, sys - (mu + 1) * comp) < h0(s, sys)
 
 
-def test_fixed_component_cap_on_degenerate_component():
-    # (0, 0) is rigid but subtracting it never drops h0; the cap must fire
-    assert fixed_component_multiplicity(Scroll(4, 0), C(0, 0), C(1, 0)) == 64
+def test_fixed_component_rejects_trivial_component():
+    # (0, 0) has h0 = 1 but subtracting it never drops h0: no finite answer
+    with pytest.raises(NotRigid):
+        fixed_component_multiplicity(Scroll(4, 0), C(0, 0), C(1, 0))
 
 
 # ------------------------------------------------------- fiber multiplicity
@@ -298,8 +299,8 @@ def test_restrict_is_additive():
 
 
 def test_minimal_degree_examples():
-    assert minimal_degree_data(Scroll(5, 1, 0)) == (6, 8, True)
-    assert minimal_degree_data(Scroll(1, 1)) == (2, 3, True)
-    assert minimal_degree_data(Scroll(4, 0)) == (4, 5, True)
+    assert minimal_degree_data(Scroll(5, 1, 0)) == (6, 8)
+    assert minimal_degree_data(Scroll(1, 1)) == (2, 3)
+    assert minimal_degree_data(Scroll(4, 0)) == (4, 5)
     with pytest.raises(NegativeTwist):
         minimal_degree_data(Scroll(3, 0, -1))
