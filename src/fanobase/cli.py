@@ -3,10 +3,12 @@
 Every number printed here is an exact integer.  Divisor classes are
 comma-separated pairs ``h,f`` meaning h*O(1) + f*F, so the classical
 system O(k) - l*F is written ``k,-l``.  Exit codes: 0 success (or all
-checks passed), 1 check failure, 2 usage error, 3 domain error.
+checks passed), 1 check failure, 2 usage error, 3 domain error, 141
+output pipe closed by the reader (as in ``| head``; nothing is printed).
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -259,10 +261,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FanobaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # reader gone: the exit-time flush of what is buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

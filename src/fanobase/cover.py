@@ -28,7 +28,6 @@ from .scroll import (
     Scroll,
     fiber_multiplicity_at,
     fixed_component_multiplicity,
-    h0,
     intersect,
 )
 
@@ -122,7 +121,6 @@ def analyze_cover(m: int) -> BranchReport:
     base = Scroll(m, m - 4, 0)
     spec = branch_for_taut_anticanonical(base)
     b = DivisorClass(1, -m)
-    assert h0(base, b) == 1
     b_mult = fixed_component_multiplicity(base, b, spec.branch)
     residual = spec.branch - b
     # distinguished point: all coordinates vanish except the one dual to

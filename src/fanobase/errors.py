@@ -10,6 +10,13 @@ class FanobaseError(ValueError):
     """Base class for every domain error raised by this package."""
 
 
+def require_integers(owner: str, values) -> None:
+    """Raise FanobaseError unless every field value of ``owner`` is an int and not a bool."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise FanobaseError(f"{owner} needs integers, got {tuple(values)!r}")
+
+
 # ---------------------------------------------------------------- scrolls
 
 class NegativeDegree(FanobaseError):

@@ -19,6 +19,7 @@ from .errors import (
     NotEffectiveShape,
     RankMismatch,
     SurfaceMismatch,
+    require_integers,
 )
 from .scroll import DivisorClass, Scroll, h0
 
@@ -32,6 +33,7 @@ class SurfaceClass:
     fib: int
 
     def __post_init__(self):
+        require_integers("a surface class", (self.e, self.xi, self.fib))
         if self.e < 0:
             raise FanobaseError(f"surface index must be non-negative, got {self.e}")
 

@@ -15,7 +15,7 @@ cover family to the normal form.
 
 from dataclasses import dataclass
 
-from .errors import InvalidM, NoSection, NotElephantShape, WrongSurface
+from .errors import InvalidM, NoSection, NotElephantShape, WrongSurface, require_integers
 from .hirzebruch import SurfaceClass
 
 
@@ -25,6 +25,9 @@ class PencilClass:
 
     gamma: int
     ell: int
+
+    def __post_init__(self):
+        require_integers("a pencil class", (self.gamma, self.ell))
 
     def __add__(self, other):
         return PencilClass(self.gamma + other.gamma, self.ell + other.ell)

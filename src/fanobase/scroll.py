@@ -17,6 +17,13 @@ Conventions, fixed once for the whole package:
   fiberwise monomial x^e (|e| = h) in a member of ``(h, f)`` is a
   polynomial of degree ``e . d + f`` on the line, hence contributes
   ``max(0, e . d + f + 1)`` to h^0.
+* Multiplicities need no monomial list.  With e_i = k fixed, the
+  heaviest monomial puts the other h - k on D, the largest twist other
+  than d_i, so k occurs in the support exactly when g(k) = k*d_i +
+  (h - k)*D + f >= 0.  g is linear in k: the x_i-exponents over the
+  support form an interval of 0..h touching 0 or h, whose other end is
+  one floor division.  The fiber and fixed-component multiplicities
+  read off its two ends.
 
 Negative twists are allowed (they occur for the degree-4 family at
 m = 3); every formula here holds verbatim for them.  Only
@@ -25,6 +32,7 @@ the tautological map is a cone over a scroll only in that range.
 """
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import (
     ArityMismatch,
@@ -35,27 +43,21 @@ from .errors import (
     NegativeTwist,
     NotRigid,
     TooFewSummands,
+    require_integers,
 )
 
+
+@total_ordering
 class _Infinite:
     """Multiplicity of the empty system; larger than every integer."""
 
     __slots__ = ()
 
-    def __le__(self, other):
+    def __eq__(self, other):
         return isinstance(other, _Infinite)
 
     def __lt__(self, other):
         return False
-
-    def __ge__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinite)
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinite)
 
     def __hash__(self):
         return hash("fanobase.INFINITE")
@@ -73,6 +75,9 @@ class DivisorClass:
 
     h: int
     f: int
+
+    def __post_init__(self):
+        require_integers("a divisor class", (self.h, self.f))
 
     def __add__(self, other):
         return DivisorClass(self.h + other.h, self.f + other.f)
@@ -94,6 +99,7 @@ class DivisorClass:
         return f"({self.h}, {self.f})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Scroll:
     """F(d1, ..., dn); the constructor sorts twists non-increasing.
 
@@ -101,19 +107,15 @@ class Scroll:
     single iterable ``Scroll([5, 1, 0])``.
     """
 
-    __slots__ = ("twists",)
+    twists: tuple
 
     def __init__(self, *twists):
-        if len(twists) == 1 and not isinstance(twists[0], int):
+        if len(twists) == 1 and hasattr(twists[0], "__iter__"):
             twists = tuple(twists[0])
+        require_integers("a scroll", twists)
         if len(twists) < 2:
             raise FanobaseError(f"a scroll needs at least two summands, got {twists!r}")
-        if not all(isinstance(d, int) for d in twists):
-            raise FanobaseError(f"twists must be integers, got {twists!r}")
         object.__setattr__(self, "twists", tuple(sorted(twists, reverse=True)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scroll is immutable")
 
     @property
     def rank(self) -> int:
@@ -123,12 +125,6 @@ class Scroll:
     def delta(self) -> int:
         """Sum of the twists; the top self-intersection of O(1)."""
         return sum(self.twists)
-
-    def __eq__(self, other):
-        return isinstance(other, Scroll) and self.twists == other.twists
-
-    def __hash__(self):
-        return hash(("Scroll", self.twists))
 
     def __repr__(self):
         return "F(" + ",".join(str(d) for d in self.twists) + ")"
@@ -144,6 +140,32 @@ def _exponents(total: int, parts: int):
             yield (first,) + rest
 
 
+def _support(s: Scroll, c: DivisorClass):
+    """Pairs (e, e . d + f) over the support of ``|c|``; nothing when c.h < 0."""
+    if c.h < 0:
+        return
+    d = s.twists
+    for e in _exponents(c.h, s.rank):
+        t = sum(ei * di for ei, di in zip(e, d)) + c.f
+        if t >= 0:
+            yield e, t
+
+
+def _exponent_range(s: Scroll, c: DivisorClass, i: int):
+    """Least and greatest k = e_i with g(k) >= 0 (module docstring); None if none, as for h < 0."""
+    h, d = c.h, s.twists
+    big = max(d[:i - 1] + d[i:])
+    g0, slope = h * big + c.f, d[i - 1] - big
+    lo, hi = 0, h
+    if slope > 0:
+        lo = max(0, -(g0 // slope))
+    elif slope < 0:
+        hi = min(h, g0 // -slope)
+    elif g0 < 0:
+        return None
+    return (lo, hi) if lo <= hi else None
+
+
 def h0(s: Scroll, c: DivisorClass) -> int:
     """Dimension of the space of sections of the class ``c`` on ``s``.
 
@@ -151,31 +173,17 @@ def h0(s: Scroll, c: DivisorClass) -> int:
     of the coefficient line bundle, max(0, e . d + c.f + 1).  Returns 0
     for negative fiberwise degree.
     """
-    if c.h < 0:
-        return 0
-    d = s.twists
-    total = 0
-    for e in _exponents(c.h, s.rank):
-        t = sum(ei * di for ei, di in zip(e, d)) + c.f
-        if t >= 0:
-            total += t + 1
-    return total
+    return sum(t + 1 for _, t in _support(s, c))
 
 
 def monomial_support(s: Scroll, c: DivisorClass) -> set:
-    """Exponent vectors whose coefficient space is non-zero.
+    """Exponent vectors e, |e| = c.h, whose coefficient space is non-zero.
 
-    The support of the generic member of ``|c|``: all e with |e| = c.h
-    and e . d + c.f >= 0.
+    The support of the generic member of ``|c|``.
     """
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
-    d = s.twists
-    return {
-        e
-        for e in _exponents(c.h, s.rank)
-        if sum(ei * di for ei, di in zip(e, d)) + c.f >= 0
-    }
+    return {e for e, _ in _support(s, c)}
 
 
 def intersect(s: Scroll, classes) -> int:
@@ -219,23 +227,21 @@ def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClas
     """Number of copies of the rigid divisor ``comp`` fixed in ``|sys|``.
 
     Requires h^0(comp) = 1 (a unique effective member), comp != (0, 0)
-    and h^0(sys) > 0.  Multiplication by the section of comp embeds
-    H^0(sys - comp) into H^0(sys); equality of dimensions certifies
-    that every member contains comp.  Walks the chain until the first
-    h^0 drop, which comes within sys.h // comp.h + 1 steps: every rigid
-    class other than (0, 0) has comp.h >= 1.
+    and h^0(sys) > 0.  Such a class is (k, -k*d1) with k >= 1 and
+    d1 > d2 (a tie, or f > -k*d1, gives h^0 >= 2), so its one section is
+    x_1^k.  Multiplying by x_1^k maps H^0(sys - comp) onto the span of
+    the support monomials with e_1 >= k, so comp is fixed mu times
+    exactly when every support monomial has e_1 >= mu*k: mu is the
+    least x_1-exponent over the support, floor-divided by k.
     """
     if h0(s, comp) != 1:
         raise NotRigid(f"component {comp} on {s!r} has h0 = {h0(s, comp)}, need 1")
     if comp == DivisorClass(0, 0):
         raise NotRigid(f"the trivial class {comp} is contained in every system any number of times")
-    base = h0(s, sys)
-    if base == 0:
+    span = _exponent_range(s, sys, 1)
+    if span is None:
         raise EmptySystem(f"system {sys} on {s!r} is empty")
-    mu = 0
-    while h0(s, sys - (mu + 1) * comp) == base:
-        mu += 1
-    return mu
+    return span[0] // comp.h
 
 
 def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
@@ -243,15 +249,15 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
 
     The point where every fiber coordinate except x_i vanishes.  A
     monomial x^e vanishes there to order h - e_i, so the multiplicity
-    is the minimum of h - e_i over the support.  Returns INFINITE when
-    the support is empty.  Indices are 1-based, matching x_1 ... x_n.
+    is h minus the greatest x_i-exponent over the support, INFINITE
+    when the support is empty.  Indices are 1-based, matching x_1 ... x_n.
     """
     if not 1 <= i <= s.rank:
         raise IndexOutOfRange(f"index {i} not in 1..{s.rank}")
-    support = monomial_support(s, c)
-    if not support:
-        return INFINITE
-    return min(c.h - e[i - 1] for e in support)
+    if c.h < 0:
+        raise NegativeDegree(f"class {c} has negative fiberwise degree")
+    span = _exponent_range(s, c, i)
+    return INFINITE if span is None else c.h - span[1]
 
 
 def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):

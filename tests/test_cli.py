@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fanobase
 from fanobase.cli import main
 from fanobase.report import _jsonable
 
@@ -199,3 +204,22 @@ def test_arity_domain_error(capsys):
     code, _, err = run(capsys, "scroll", "intersect", "--d", "5,1,0", "--classes", "1,0;1,0")
     assert code == 3
     assert "error:" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # about 400 kB of support lines: far more than a pipe holds, so the
+    # writer is still blocked on the pipe when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
+    argv = ["scroll", "support", "--d", "9,7,4,2,0", "--class", "24,-30"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fanobase.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"24,0,0,0,0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

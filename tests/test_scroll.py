@@ -21,7 +21,9 @@ from fanobase import (
     NegativeDegree,
     NegativeTwist,
     NotRigid,
+    PencilClass,
     Scroll,
+    SurfaceClass,
     TooFewSummands,
     canonical_class,
     fiber_multiplicity_at,
@@ -58,6 +60,15 @@ def oracle_support(twists, h, f):
     }
 
 
+def walk_fixed_component(s, comp, sys):
+    """The h0-chain walk: subtract comp while h0 stays put (comp rigid, |sys| non-empty)."""
+    base = h0(s, sys)
+    mu = 0
+    while h0(s, sys - (mu + 1) * comp) == base:
+        mu += 1
+    return mu
+
+
 def sigma_basis_h0(d1, d2, h, f):
     """Second route on surfaces: count in the (minimal section, fiber) basis."""
     if h < 0:
@@ -79,6 +90,26 @@ def test_constructor_sorts_and_validates():
         Scroll(4)
     with pytest.raises(FanobaseError):
         Scroll("4", 0)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, "1", None])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Scroll(v),
+        lambda v: Scroll(4, v),
+        lambda v: Scroll([v, 0, 1]),
+        lambda v: C(v, 0),
+        lambda v: C(1, v),
+        lambda v: SurfaceClass(4, v, 0),
+        lambda v: SurfaceClass(v, 1, 0),
+        lambda v: PencilClass(1, v),
+    ],
+    ids=["scroll-single", "scroll", "scroll-list", "class-h", "class-f", "surface-xi", "surface-e", "pencil"],
+)
+def test_value_types_reject_bools_and_non_integers(make, bad):
+    with pytest.raises(FanobaseError):
+        make(bad)
 
 
 def test_divisor_class_arithmetic():
@@ -238,6 +269,27 @@ def test_fixed_component_chain_property():
         assert h0(s, sys - (mu + 1) * comp) < h0(s, sys)
 
 
+def test_fixed_component_matches_h0_walk():
+    # second route: the h0-chain walk, for B = (k, -k*d1) with k up to 3
+    rng = random.Random(20261018)
+    nonzero = 0
+    for _ in range(300):
+        s = Scroll(tuple(rng.randint(-3, 7) for _ in range(rng.randint(3, 4))))
+        if s.twists[0] == s.twists[1]:
+            continue
+        k = rng.randint(1, 3)
+        comp = C(k, -k * s.twists[0])
+        sys = C(rng.randint(0, 6), rng.randint(-30, 10))
+        if h0(s, sys) == 0:
+            with pytest.raises(EmptySystem):
+                fixed_component_multiplicity(s, comp, sys)
+            continue
+        mu = fixed_component_multiplicity(s, comp, sys)
+        assert mu == walk_fixed_component(s, comp, sys), (s, comp, sys)
+        nonzero += mu > 0
+    assert nonzero >= 10
+
+
 def test_fixed_component_rejects_trivial_component():
     # (0, 0) has h0 = 1 but subtracting it never drops h0: no finite answer
     with pytest.raises(NotRigid):
@@ -255,6 +307,21 @@ def test_fiber_multiplicity_examples():
         fiber_multiplicity_at(Scroll(5, 1, 0), C(0, 0), 4)
 
 
+def test_fiber_multiplicity_matches_oracle_support():
+    # second route: min(h - e_i) over the itertools.product support
+    rng = random.Random(20261019)
+    empty = 0
+    for _ in range(250):
+        s = Scroll(tuple(rng.randint(-4, 9) for _ in range(rng.randint(2, 4))))
+        h, f = rng.randint(0, 5), rng.randint(-30, 15)
+        i = rng.randint(1, s.rank)
+        support = oracle_support(s.twists, h, f)
+        expected = min((h - e[i - 1] for e in support), default=INFINITE)
+        assert fiber_multiplicity_at(s, C(h, f), i) == expected, (s, h, f, i)
+        empty += not support
+    assert empty >= 10
+
+
 def test_fiber_multiplicity_empty_support_is_infinite():
     value = fiber_multiplicity_at(Scroll(4, 0), C(1, -5), 1)
     assert value == INFINITE
@@ -268,6 +335,50 @@ def test_branch_multiplicity_bound_reproduces_twelve():
         zero_index = s.twists.index(0) + 1
         mult = fiber_multiplicity_at(s, C(4, -(4 * m - 12)), zero_index)
         assert (mult <= 3) == (m <= 12), m
+
+
+# ------------------------------------------------------- twist shift
+
+
+def shifted(s, t):
+    return Scroll(tuple(d + t for d in s.twists))
+
+
+def shift_class(c, t):
+    """F(d) and F(d + t) are one variety; O(1) moves to O(1) - t*F."""
+    return C(c.h, c.f - c.h * t)
+
+
+def test_twist_shift_isomorphism():
+    rng = random.Random(20261020)
+    for _ in range(120):
+        s = Scroll(tuple(rng.randint(-4, 8) for _ in range(rng.randint(2, 4))))
+        t = rng.randint(-5, 5)
+        u = shifted(s, t)
+        c = C(rng.randint(0, 5), rng.randint(-25, 15))
+        assert h0(s, c) == h0(u, shift_class(c, t))
+        classes = [C(rng.randint(-3, 4), rng.randint(-8, 8)) for _ in range(s.rank)]
+        assert intersect(s, classes) == intersect(u, [shift_class(a, t) for a in classes])
+        i = rng.randint(1, s.rank)
+        assert fiber_multiplicity_at(s, c, i) == fiber_multiplicity_at(u, shift_class(c, t), i)
+        if s.twists[0] > s.twists[1] and h0(s, c) > 0:
+            k = rng.randint(1, 3)
+            comp = C(k, -k * s.twists[0])
+            assert shift_class(comp, t) == C(k, -k * u.twists[0])
+            assert fixed_component_multiplicity(s, comp, c) == fixed_component_multiplicity(
+                u, shift_class(comp, t), shift_class(c, t)
+            )
+
+
+def test_twist_shift_m3_model():
+    # the m = 3 cover base F(3,0,-1) is F(4,1,0); B avoids the generic branch member on both
+    models = [(Scroll(3, 0, -1), C(4, 0), C(1, -3)), (Scroll(4, 1, 0), C(4, -4), C(1, -4))]
+    for s, branch, b in models:
+        assert (h0(s, branch), h0(s, branch - b)) == (61, 60)
+        assert fixed_component_multiplicity(s, b, branch) == 0
+        assert fiber_multiplicity_at(s, branch, 3) == 1
+    assert shifted(Scroll(3, 0, -1), 1) == Scroll(4, 1, 0)
+    assert shift_class(C(4, 0), 1) == C(4, -4) and shift_class(C(1, -3), 1) == C(1, -4)
 
 
 # ---------------------------------------------------------------- sub-scrolls
