@@ -5,6 +5,8 @@ Section counts, monomial supports and intersection numbers on
 F(d1,...,dn), all in exact integer arithmetic.
 """
 
+import signal
+
 from fanobase import (
     DivisorClass,
     Scroll,
@@ -15,6 +17,9 @@ from fanobase import (
     minimal_degree_data,
     monomial_support,
 )
+
+# exit quietly when the reader closes the pipe (| head), as shell tools do
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 # The threefold scroll F(5,1,0): the anticanonical image of the m = 5
 # double cover.  Its tautological class embeds it as a variety of

@@ -11,7 +11,12 @@ simple support computation: the multiplicity of the generic member at
 the distinguished fiber point must stay <= 3.
 """
 
+import signal
+
 from fanobase import analyze_cover
+
+# exit quietly when the reader closes the pipe (| head), as shell tools do
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 print(f"{'m':>3} {'base':<12} {'branch':<9} {'B forced':>8} {'fiber mult':>10}  verdict")
 for m in range(3, 17):

@@ -6,7 +6,12 @@ Riemann-Roch counts, exact series expansion, and generator/relation
 inference straight from the dimension sequence.
 """
 
+import signal
+
 from fanobase import WeightedCI, anticanonical_degree, hilbert_coeffs, infer_ring, rr_chi
+
+# exit quietly when the reader closes the pipe (| head), as shell tools do
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 # The degree-2 threefold: a complete intersection of a quadric and a
 # sextic in P(1,1,1,1,2,3).  Riemann-Roch gives the anticanonical

@@ -7,7 +7,12 @@ the ten cone cases.  Every degree, splitting type and lattice identity
 in the table is recomputed from scratch by the calculus modules.
 """
 
+import signal
+
 from fanobase import PruneKind, case_checks, enumerate_cases, prune
+
+# exit quietly when the reader closes the pipe (| head), as shell tools do
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 # Pruning the splitting types (a, b) of the normal bundle of the base
 # curve: three families survive.

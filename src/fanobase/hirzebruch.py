@@ -21,7 +21,7 @@ from .errors import (
     SurfaceMismatch,
     require_integers,
 )
-from .scroll import DivisorClass, Scroll, h0
+from .scroll import DivisorClass, Scroll, fixed_component_multiplicity
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,18 +105,15 @@ def to_scroll(c: SurfaceClass):
 def forced_minimal_decomposition(c: SurfaceClass):
     """Split off the copies of the minimal section fixed in ``|c|``.
 
-    While the running class meets the minimal section negatively, the
-    section is a component of every member and one copy is subtracted.
-    Returns (mu, residual) with residual . xi >= 0.  The system must be
-    non-empty (checked through the scroll basis), otherwise EmptySystem.
+    ``|c|`` is non-empty exactly when xi >= 0 and fib >= 0 (the top
+    support monomial has weight fib), otherwise EmptySystem.  On Sigma_e,
+    e >= 1, the minimal section is the rigid class (1, -e) of F(e, 0), so
+    its multiplicity mu is the scroll's fixed-component count, read off
+    the exponent range in closed form; on Sigma_0 nothing is fixed.
+    Returns (mu, residual) with residual . xi >= 0.
     """
-    surface, scroll_class = to_scroll(c)
-    if c.xi < 0 or h0(surface, scroll_class) == 0:
+    if c.xi < 0 or c.fib < 0:
         raise EmptySystem(f"|{c}| is empty")
-    xi = minimal_section(c.e)
-    mu = 0
-    residual = c
-    while intersect2(residual, xi) < 0:
-        residual = residual - xi
-        mu += 1
-    return mu, residual
+    surface, scroll_class = to_scroll(c)
+    mu = fixed_component_multiplicity(surface, DivisorClass(1, -c.e), scroll_class) if c.e else 0
+    return mu, c - mu * minimal_section(c.e)

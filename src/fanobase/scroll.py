@@ -12,18 +12,21 @@ Conventions, fixed once for the whole package:
   The classical system O(k) - l*F is encoded as ``(k, -l)``.
 * Chow relations: ``H^n = delta * H^(n-1) * F``, ``F^2 = 0`` and
   ``H^(n-1) * F`` integrates to 1, where ``delta = d1 + ... + dn``.
-* Section counting is monomial-by-monomial: writing x1, ..., xn for
+* Section counting is over the support: writing x1, ..., xn for
   fiber coordinates dual to the summands, the coefficient of the
   fiberwise monomial x^e (|e| = h) in a member of ``(h, f)`` is a
   polynomial of degree ``e . d + f`` on the line, hence contributes
-  ``max(0, e . d + f + 1)`` to h^0.
-* Multiplicities need no monomial list.  With e_i = k fixed, the
-  heaviest monomial puts the other h - k on D, the largest twist other
-  than d_i, so k occurs in the support exactly when g(k) = k*d_i +
-  (h - k)*D + f >= 0.  g is linear in k: the x_i-exponents over the
-  support form an interval of 0..h touching 0 or h, whose other end is
-  one floor division.  The fiber and fixed-component multiplicities
-  read off its two ends.
+  ``max(0, e . d + f + 1)`` to h^0.  The support, the x^e with
+  ``e . d + f >= 0``, is generated from the exponent range below; no
+  exponent vector outside it is visited.
+* The exponent range.  With e_i = k fixed, the heaviest monomial puts
+  the other h - k on D, the largest twist other than d_i, so k occurs
+  in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
+  linear in k: the x_i-exponents over the support form an interval of
+  0..h touching 0 or h, whose other end is one floor division.  The
+  fiber and fixed-component multiplicities read off its two ends, and
+  each valid e_1 = k leaves the non-empty system (h - k, f + k*d1) on
+  F(d2, ..., dn), whose support is generated the same way.
 
 Negative twists are allowed (they occur for the degree-4 family at
 m = 3); every formula here holds verbatim for them.  Only
@@ -130,32 +133,10 @@ class Scroll:
         return "F(" + ",".join(str(d) for d in self.twists) + ")"
 
 
-def _exponents(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _exponents(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _support(s: Scroll, c: DivisorClass):
-    """Pairs (e, e . d + f) over the support of ``|c|``; nothing when c.h < 0."""
-    if c.h < 0:
-        return
-    d = s.twists
-    for e in _exponents(c.h, s.rank):
-        t = sum(ei * di for ei, di in zip(e, d)) + c.f
-        if t >= 0:
-            yield e, t
-
-
-def _exponent_range(s: Scroll, c: DivisorClass, i: int):
-    """Least and greatest k = e_i with g(k) >= 0 (module docstring); None if none, as for h < 0."""
-    h, d = c.h, s.twists
+def _exponent_range(d: tuple, h: int, f: int, i: int):
+    """Least and greatest k = e_i with g(k) >= 0 on F(d) (module docstring); None if none, as for h < 0."""
     big = max(d[:i - 1] + d[i:])
-    g0, slope = h * big + c.f, d[i - 1] - big
+    g0, slope = h * big + f, d[i - 1] - big
     lo, hi = 0, h
     if slope > 0:
         lo = max(0, -(g0 // slope))
@@ -166,24 +147,44 @@ def _exponent_range(s: Scroll, c: DivisorClass, i: int):
     return (lo, hi) if lo <= hi else None
 
 
+def _support(d: tuple, h: int, f: int):
+    """Pairs (e, e . d + f) over the support of ``|(h, f)|`` on F(d), d non-increasing.
+
+    Descending lexicographic in e, one x_1-exponent range per level; nothing when h < 0.
+    """
+    if len(d) == 1:
+        t = h * d[0] + f
+        if h >= 0 and t >= 0:
+            yield (h,), t
+        return
+    span = _exponent_range(d, h, f, 1)
+    if span is None:
+        return
+    for k in range(span[1], span[0] - 1, -1):
+        for rest, t in _support(d[1:], h - k, f + k * d[0]):
+            yield (k,) + rest, t
+
+
 def h0(s: Scroll, c: DivisorClass) -> int:
     """Dimension of the space of sections of the class ``c`` on ``s``.
 
-    Sum over all fiberwise monomials of degree c.h of the section count
-    of the coefficient line bundle, max(0, e . d + c.f + 1).  Returns 0
-    for negative fiberwise degree.
+    Sum over the support, generated from the exponent range (module
+    docstring) without visiting any other monomial, of the section count
+    e . d + c.f + 1.  Returns 0 for negative fiberwise degree.
     """
-    return sum(t + 1 for _, t in _support(s, c))
+    return sum(t + 1 for _, t in _support(s.twists, c.h, c.f))
 
 
 def monomial_support(s: Scroll, c: DivisorClass) -> set:
     """Exponent vectors e, |e| = c.h, whose coefficient space is non-zero.
 
-    The support of the generic member of ``|c|``.
+    The support of the generic member of ``|c|``, generated from the
+    exponent range one coordinate at a time; no exponent vector outside
+    it is visited.
     """
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
-    return {e for e, _ in _support(s, c)}
+    return {e for e, _ in _support(s.twists, c.h, c.f)}
 
 
 def intersect(s: Scroll, classes) -> int:
@@ -238,7 +239,7 @@ def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClas
         raise NotRigid(f"component {comp} on {s!r} has h0 = {h0(s, comp)}, need 1")
     if comp == DivisorClass(0, 0):
         raise NotRigid(f"the trivial class {comp} is contained in every system any number of times")
-    span = _exponent_range(s, sys, 1)
+    span = _exponent_range(s.twists, sys.h, sys.f, 1)
     if span is None:
         raise EmptySystem(f"system {sys} on {s!r} is empty")
     return span[0] // comp.h
@@ -256,7 +257,7 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
         raise IndexOutOfRange(f"index {i} not in 1..{s.rank}")
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
-    span = _exponent_range(s, c, i)
+    span = _exponent_range(s.twists, c.h, c.f, i)
     return INFINITE if span is None else c.h - span[1]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from fanobase.report import _jsonable
 VERIFY_JSON_SHA256 = "7368d7b6fe338795b483d34d815e48dc7acdb4f66bec22715b4e71126e9ea87a"
 VERIFY_JSON_BYTES = 41493
 VERIFY_TEXT_SHA256 = "e3ca4a7ceffe57007628663e8914c9423caf0413e392bb595fa5a92a326e148d"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def run(capsys, *argv):
@@ -53,6 +55,15 @@ def test_surface_split(capsys):
     code, out, _ = run(capsys, "surface", "split", "--e", "4", "--class", "4,12")
     assert code == 0
     assert out.splitlines() == ["multiplicity 1", "residual 3,12"]
+
+
+def test_large_degree_answers_promptly(capsys):
+    # an empty system with about 5 * 10**11 exponent vectors, and 10**9 forced copies
+    code, out, _ = run(capsys, "scroll", "h0", "--d", "5,1,0", "--class", "1000000,-6000000")
+    assert code == 0 and out == "0\n"
+    code, out, _ = run(capsys, "surface", "split", "--e", "1", "--class", "1000000000,0")
+    assert code == 0
+    assert out.splitlines() == ["multiplicity 1000000000", "residual 0,0"]
 
 
 def test_k3_chain(capsys):
@@ -222,4 +233,26 @@ def test_closed_pipe_exits_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_closed_pipe_exits_quietly(demo):
+    # unbuffered, so every print is a write that can meet the closed pipe
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent),
+        PYTHONUNBUFFERED="1",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, str(DEMOS / demo)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, -signal.SIGPIPE)
     assert err == b""

@@ -10,7 +10,6 @@ from fanobase import (
     Scroll,
     SurfaceClass,
     SurfaceMismatch,
-    fixed_component_multiplicity,
     forced_minimal_decomposition,
     from_scroll,
     genus,
@@ -76,20 +75,34 @@ def test_forced_decomposition_residual_and_idempotence():
                 assert again == 0 and residual2 == residual
 
 
+def split_one_copy_at_a_time(c):
+    """Second route: subtract the minimal section while the class meets it negatively."""
+    xi = minimal_section(c.e)
+    mu, residual = 0, c
+    while intersect2(residual, xi) < 0:
+        residual = residual - xi
+        mu += 1
+    return mu, residual
+
+
 def test_forced_decomposition_matches_scroll_fixed_component():
-    # the same count through the scroll basis, where the minimal section
-    # is the rigid class (1, -e)
-    for e in range(1, 6):
-        for xi in range(5):
-            for fib in range(0, 14):
+    # the closed form (the scroll's fixed-component count for the rigid
+    # class (1, -e)) against the subtraction loop, and the cone test
+    # xi, fib >= 0 against h0 in the scroll basis
+    nonzero = 0
+    for e in range(8):
+        for xi in range(-3, 8):
+            for fib in range(-6, 30):
                 c = SurfaceClass(e, xi, fib)
                 surface, scroll_class = to_scroll(c)
                 if xi < 0 or h0(surface, scroll_class) == 0:
+                    with pytest.raises(EmptySystem):
+                        forced_minimal_decomposition(c)
                     continue
-                mu, _ = forced_minimal_decomposition(c)
-                assert mu == fixed_component_multiplicity(
-                    surface, DivisorClass(1, -e), scroll_class
-                )
+                split = forced_minimal_decomposition(c)
+                assert split == split_one_copy_at_a_time(c), c
+                nonzero += split[0] > 0
+    assert nonzero >= 100
 
 
 def test_from_scroll_examples():

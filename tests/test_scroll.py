@@ -2,12 +2,13 @@
 
 The reference oracle for section counts enumerates every exponent tuple
 with itertools.product and applies the degree count of line bundles on
-the line directly; the library walks compositions instead, so the two
-routes share no code.
+the line directly; the library generates only the support, one
+exponent range per coordinate, so the two routes share no code.
 """
 
 import random
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -138,6 +139,29 @@ def test_h0_matches_oracle_on_random_classes():
         f = rng.randint(-25, 25)
         s = Scroll(twists)
         assert h0(s, C(h, f)) == oracle_h0(s.twists, h, f)
+        assert monomial_support(s, C(h, f)) == oracle_support(s.twists, h, f)
+
+
+def test_h0_riemann_roch_regime():
+    # every monomial counts once f + h*d_n >= 0: N*(f + 1) plus delta*h*N/n
+    rng = random.Random(20261101)
+    for _ in range(150):
+        s = Scroll(tuple(rng.randint(-5, 9) for _ in range(rng.randint(2, 6))))
+        n = s.rank
+        h = rng.randint(0, 12 - n)
+        f = -h * s.twists[-1] + rng.randint(0, 20)
+        expected = comb(h + n - 1, n - 1) * (f + 1) + s.delta() * comb(h + n - 1, n)
+        assert h0(s, C(h, f)) == expected, (s, h, f)
+
+
+def test_large_degree_visits_only_the_support():
+    # C(10**6 + 2, 2) exponent vectors, none of them in the support
+    empty = C(10**6, -6 * 10**6)
+    assert h0(Scroll(5, 1, 0), empty) == 0
+    assert monomial_support(Scroll(5, 1, 0), empty) == set()
+    # 10**9 + 1 exponent vectors, one in the support
+    assert h0(Scroll(1, 0), C(10**9, -(10**9))) == 1
+    assert monomial_support(Scroll(1, 0), C(10**9, -(10**9))) == {(10**9, 0)}
 
 
 def test_h0_two_routes_on_surfaces():
