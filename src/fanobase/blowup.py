@@ -15,7 +15,7 @@ the classification needs.
 
 from dataclasses import dataclass
 
-from .errors import FanobaseError, InvalidDegree, InvalidM
+from .errors import FanobaseError, InvalidDegree, InvalidM, require_integers
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,6 +26,7 @@ class NormalBundle:
     b: int
 
     def __post_init__(self):
+        require_integers("a splitting type", (self.a, self.b))
         if self.a < self.b:
             raise FanobaseError(f"splitting type needs a >= b, got ({self.a}, {self.b})")
 
@@ -42,6 +43,9 @@ class BlowupStep:
     ambient_degree: int
     curve_degree: int
     genus: int
+
+    def __post_init__(self):
+        require_integers("a blowup step", (self.ambient_degree, self.curve_degree, self.genus))
 
 
 def blowup_degree(step: BlowupStep) -> int:
@@ -68,6 +72,7 @@ def decomposition_fiber_coeff(a: int) -> int:
 
 def product_degree(dp_degree: int) -> int:
     """(-K)^3 of (del Pezzo surface of degree d) x (line): 6d."""
+    require_integers("a del Pezzo degree", (dp_degree,))
     if dp_degree < 1:
         raise InvalidDegree(f"del Pezzo degree must be >= 1, got {dp_degree}")
     return 6 * dp_degree

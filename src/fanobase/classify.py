@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import blowup, cover, hirzebruch, k3pencil, wps
 from .blowup import BlowupStep, NormalBundle
-from .errors import CheckFailure, OutOfRange
+from .errors import CheckFailure, OutOfRange, require_integers
 from .hirzebruch import from_scroll, minimal_section
 from .k3pencil import PencilClass
 from .scroll import DivisorClass, intersect, restrict_to_subscroll
@@ -171,6 +171,7 @@ def cone_case(m: int) -> ClassificationCase:
     whose verification fails at the branch analysis, which is the
     mechanical reason the family stops.
     """
+    require_integers("a cone case", (m,))
     nb = blowup.cone_case_normal_bundle(m)
     return ClassificationCase(
         label=f"ii-c({m})",

@@ -25,8 +25,11 @@ from .k3pencil import (
     saint_donat_form,
 )
 from .report import build_report, to_json
-from .scroll import DivisorClass, Scroll, h0, intersect, monomial_support
+from .scroll import DivisorClass, Scroll, h0, intersect, monomial_support, support_size
 from .wps import WeightedCI, hilbert_coeffs, infer_ring
+
+# largest support `scroll support` prints, one line per monomial
+SUPPORT_LIMIT = 10**6
 
 CLASS_HELP = "divisor class h,f meaning h*O(1) + f*F (the system O(k) - l*F is k,-l)"
 
@@ -98,6 +101,12 @@ def _cmd_scroll(args) -> int:
     if args.scroll_op == "h0":
         print(h0(scroll, args.klass))
     elif args.scroll_op == "support":
+        size = support_size(scroll, args.klass)
+        if size > SUPPORT_LIMIT:
+            raise FanobaseError(
+                f"the support of {args.klass} on {scroll!r} has {size} monomials, "
+                f"more than the {SUPPORT_LIMIT} this command prints"
+            )
         for e in sorted(monomial_support(scroll, args.klass), reverse=True):
             print(_csv(e))
     else:  # intersect

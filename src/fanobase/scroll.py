@@ -17,8 +17,8 @@ Conventions, fixed once for the whole package:
   fiberwise monomial x^e (|e| = h) in a member of ``(h, f)`` is a
   polynomial of degree ``e . d + f`` on the line, hence contributes
   ``max(0, e . d + f + 1)`` to h^0.  The support, the x^e with
-  ``e . d + f >= 0``, is generated from the exponent range below; no
-  exponent vector outside it is visited.
+  ``e . d + f >= 0``, is generated from the exponent range below for
+  :func:`monomial_support`; no exponent vector outside it is visited.
 * The exponent range.  With e_i = k fixed, the heaviest monomial puts
   the other h - k on D, the largest twist other than d_i, so k occurs
   in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
@@ -27,6 +27,16 @@ Conventions, fixed once for the whole package:
   fiber and fixed-component multiplicities read off its two ends, and
   each valid e_1 = k leaves the non-empty system (h - k, f + k*d1) on
   F(d2, ..., dn), whose support is generated the same way.
+* The band split counts the support without visiting it.  When
+  f + h*dn >= 0 every monomial is in the support and h^0 is the
+  Riemann-Roch value C(h+n-1, n-1)*(f+1) + delta*C(h+n-1, n).
+  Otherwise the x_1-exponents k of the exponent range split at
+  k_t = ceil((-f - h*dn) / (d1 - dn)): from k_t on, the rest
+  (h - k, f + k*d1) on F(d2, ..., dn) is in that regime, so its count
+  is a polynomial p of degree n - 1 in k, summed over N values from a
+  by forward differences, sum_i Delta^i p(a) * C(N, i+1); only the band
+  below k_t recurses.  With 1 in place of e . d + f + 1 the same split
+  counts the support (:func:`support_size`).
 
 Negative twists are allowed (they occur for the degree-4 family at
 m = 3); every formula here holds verbatim for them.  Only
@@ -36,6 +46,7 @@ the tautological map is a cone over a scroll only in that range.
 
 from dataclasses import dataclass
 from functools import total_ordering
+from math import comb
 
 from .errors import (
     ArityMismatch,
@@ -165,14 +176,55 @@ def _support(d: tuple, h: int, f: int):
             yield (k,) + rest, t
 
 
+def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
+    """Sum of e . d + f + 1 (weighted) or of 1 over the support of ``|(h, f)|`` on F(d), d non-increasing.
+
+    The band split of the module docstring; 0 when h < 0.
+    """
+    if h < 0:
+        return 0
+    n, dn = len(d), d[-1]
+    if f + h * dn >= 0:
+        size = comb(h + n - 1, n - 1)
+        return size * (f + 1) + sum(d) * comb(h + n - 1, n) if weighted else size
+    span = None if n == 1 else _exponent_range(d, h, f, 1)
+    if span is None:
+        return 0
+    lo, hi = span
+    d1, rest = d[0], d[1:]
+    # d1 > dn here (equal twists give an empty or a Riemann-Roch system)
+    k_t = max(lo, -((f + h * dn) // (d1 - dn)))
+    # from k = k_t on, the count of the rest is a polynomial of degree < n in k:
+    # sum it by forward differences, or directly when it has at most n terms
+    tail = hi + 1 - k_t
+    total = 0
+    for k in range(lo, hi + 1 if tail <= n else k_t):
+        total += _count(rest, h - k, f + k * d1, weighted)
+    if tail <= n:
+        return total
+    values = [_count(rest, h - k, f + k * d1, weighted) for k in range(k_t, k_t + n)]
+    for i in range(n):
+        total += values[0] * comb(tail, i + 1)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return total
+
+
 def h0(s: Scroll, c: DivisorClass) -> int:
     """Dimension of the space of sections of the class ``c`` on ``s``.
 
-    Sum over the support, generated from the exponent range (module
-    docstring) without visiting any other monomial, of the section count
-    e . d + c.f + 1.  Returns 0 for negative fiberwise degree.
+    The sum of e . d + c.f + 1 over the support (module docstring), by
+    the band split: the Riemann-Roch closed form when c.f + c.h*dn >= 0;
+    otherwise a recursion over the x_1-exponents below k_t and, above it,
+    a forward-difference sum of the rest's count, a polynomial of degree
+    n - 1 in the exponent.  The cost follows the width of the band, not
+    the number of monomials.  Returns 0 for negative fiberwise degree.
     """
-    return sum(t + 1 for _, t in _support(s.twists, c.h, c.f))
+    return _count(s.twists, c.h, c.f, True)
+
+
+def support_size(s: Scroll, c: DivisorClass) -> int:
+    """Number of exponent vectors in :func:`monomial_support`, by the band split of :func:`h0`; 0 when c.h < 0."""
+    return _count(s.twists, c.h, c.f, False)
 
 
 def monomial_support(s: Scroll, c: DivisorClass) -> set:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import FanobaseError, Inconsistent, NonIntegralChi, WrongDimension
+from .errors import FanobaseError, Inconsistent, NonIntegralChi, WrongDimension, require_integers
 
 DEFAULT_TRUNCATION = 24
 
@@ -30,13 +30,16 @@ class WeightedCI:
     rel_degrees: tuple = ()
 
     def __post_init__(self):
-        weights = tuple(self.weights)
-        rels = tuple(self.rel_degrees)
+        try:
+            weights, rels = tuple(self.weights), tuple(self.rel_degrees)
+        except TypeError:
+            raise FanobaseError("weights and relation degrees must be sequences of integers") from None
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rel_degrees", rels)
-        if not weights or any(not isinstance(w, int) or w < 1 for w in weights):
+        require_integers("a weighted complete intersection", weights + rels)
+        if not weights or any(w < 1 for w in weights):
             raise FanobaseError(f"weights must be positive integers, got {weights!r}")
-        if any(not isinstance(e, int) or e < 2 for e in rels):
+        if any(e < 2 for e in rels):
             raise FanobaseError(f"relation degrees must be integers >= 2, got {rels!r}")
         if len(rels) >= len(weights):
             raise FanobaseError("need fewer relations than weights (positive dimension)")
@@ -91,6 +94,7 @@ def rr_chi(degree: int, k: int) -> int:
     anticanonical classes higher cohomology vanishes, so this value is
     the section count h^0(-kK).
     """
+    require_integers("a Riemann-Roch value", (degree, k))
     numerator = degree * k * (k + 1) * (2 * k + 1)
     if numerator % 12 != 0:
         raise NonIntegralChi(f"degree {degree}, twist {k}: chi is not an integer")

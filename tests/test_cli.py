@@ -64,6 +64,18 @@ def test_large_degree_answers_promptly(capsys):
     code, out, _ = run(capsys, "surface", "split", "--e", "1", "--class", "1000000000,0")
     assert code == 0
     assert out.splitlines() == ["multiplicity 1000000000", "residual 0,0"]
+    # about 5 * 10**11 support monomials: C(10**6 + 2, 2) + 6 * C(10**6 + 2, 3)
+    code, out, _ = run(capsys, "scroll", "h0", "--d", "5,1,0", "--class", "1000000,0")
+    assert code == 0 and out == "1000003500003500001\n"
+
+
+def test_scroll_support_refuses_large_output(capsys):
+    code, out, err = run(capsys, "scroll", "support", "--d", "5,1,0", "--class", "1000000,0")
+    assert code == 3 and out == ""
+    assert "500001500001 monomials" in err
+    # one monomial over the bound of 10**6
+    code, _, err = run(capsys, "scroll", "support", "--d", "0,0", "--class", "1000000,0")
+    assert code == 3 and "1000001 monomials" in err
 
 
 def test_k3_chain(capsys):

@@ -3,7 +3,11 @@
 The reference oracle for section counts enumerates every exponent tuple
 with itertools.product and applies the degree count of line bundles on
 the line directly; the library generates only the support, one
-exponent range per coordinate, so the two routes share no code.
+exponent range per coordinate, and counts sections by the band split
+without generating it, so the routes share no code.  Serre duality on
+the line (h0 = chi + h1) and a count of exponent vectors by weight are
+further routes for h0, the latter fast enough for classes with about
+10**8 exponent vectors.
 """
 
 import random
@@ -22,19 +26,27 @@ from fanobase import (
     NegativeDegree,
     NegativeTwist,
     NotRigid,
+    BlowupStep,
+    NormalBundle,
     PencilClass,
     Scroll,
     SurfaceClass,
     TooFewSummands,
+    WeightedCI,
+    blowup_degree,
     canonical_class,
+    cone_case,
     fiber_multiplicity_at,
     fixed_component_multiplicity,
     h0,
     intersect,
     minimal_degree_data,
     monomial_support,
+    product_degree,
     restrict_to_subscroll,
+    rr_chi,
 )
+from fanobase.scroll import _support, support_size
 
 C = DivisorClass
 
@@ -59,6 +71,38 @@ def oracle_support(twists, h, f):
         for e in product(range(h + 1), repeat=len(twists))
         if sum(e) == h and sum(ei * di for ei, di in zip(e, twists)) + f >= 0
     }
+
+
+def riemann_roch(twists, h, f):
+    """chi of (h, f) for h >= 0: every monomial counted with e . d + f + 1, sign included."""
+    n = len(twists)
+    return comb(h + n - 1, n - 1) * (f + 1) + sum(twists) * comb(h + n - 1, n)
+
+
+def serre_h0(twists, h, f):
+    """Second route: h0 = chi + h1, h1 summing -(e . d + f) - 1 off the support."""
+    if h < 0:
+        return 0
+    h1 = 0
+    for e in product(range(h + 1), repeat=len(twists)):
+        if sum(e) == h:
+            h1 += max(0, -(sum(ei * di for ei, di in zip(e, twists)) + f) - 1)
+    return riemann_roch(twists, h, f) + h1
+
+
+def weight_count_h0(twists, h, f):
+    """Third route: count the exponent vectors of degree h by weight e . d, then weigh each."""
+    low = min(twists)
+    # counts[a][w]: exponent vectors of degree a over the twists so far, weight w + a*low
+    counts = [[0] * (h * (max(twists) - low) + 1) for _ in range(h + 1)]
+    counts[0][0] = 1
+    for d in twists:
+        step = d - low
+        for a in range(1, h + 1):
+            row, below = counts[a], counts[a - 1]
+            for w in range(step, len(row)):
+                row[w] += below[w - step]
+    return sum(c * max(0, w + h * low + f + 1) for w, c in enumerate(counts[h]))
 
 
 def walk_fixed_component(s, comp, sys):
@@ -105,12 +149,37 @@ def test_constructor_sorts_and_validates():
         lambda v: SurfaceClass(4, v, 0),
         lambda v: SurfaceClass(v, 1, 0),
         lambda v: PencilClass(1, v),
+        lambda v: NormalBundle(v, -2),
+        lambda v: BlowupStep(8, v, 1),
+        lambda v: WeightedCI(v),
+        lambda v: WeightedCI((v, 1, 1)),
+        lambda v: WeightedCI((1, 1, 1, 2, 3), (v,)),
     ],
-    ids=["scroll-single", "scroll", "scroll-list", "class-h", "class-f", "surface-xi", "surface-e", "pencil"],
+    ids=[
+        "scroll-single", "scroll", "scroll-list", "class-h", "class-f", "surface-xi",
+        "surface-e", "pencil", "normal-bundle", "blowup-step", "wci", "wci-weight", "wci-relation",
+    ],
 )
 def test_value_types_reject_bools_and_non_integers(make, bad):
     with pytest.raises(FanobaseError):
         make(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 8.0, "1", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: cone_case(v),
+        lambda v: rr_chi(v, 1),
+        lambda v: rr_chi(2, v),
+        lambda v: product_degree(v),
+        lambda v: blowup_degree(BlowupStep(v, 2, 1)),
+    ],
+    ids=["cone-case", "rr-degree", "rr-twist", "product-degree", "blowup-degree"],
+)
+def test_entry_functions_reject_bools_and_non_integers(call, bad):
+    with pytest.raises(FanobaseError):
+        call(bad)
 
 
 def test_divisor_class_arithmetic():
@@ -162,6 +231,51 @@ def test_large_degree_visits_only_the_support():
     # 10**9 + 1 exponent vectors, one in the support
     assert h0(Scroll(1, 0), C(10**9, -(10**9))) == 1
     assert monomial_support(Scroll(1, 0), C(10**9, -(10**9))) == {(10**9, 0)}
+
+
+def test_h0_serre_duality_on_the_line():
+    # h0 - h1 = chi: the complement of the support carries h1 = sum of -(e . d + f) - 1
+    rng = random.Random(20261102)
+    outside = 0
+    for _ in range(200):
+        s = Scroll(tuple(rng.randint(-5, 9) for _ in range(rng.randint(2, 4))))
+        h, f = rng.randint(-1, 6), rng.randint(-40, 20)
+        assert h0(s, C(h, f)) == serre_h0(s.twists, h, f), (s, h, f)
+        outside += h0(s, C(h, f)) != riemann_roch(s.twists, h, f)
+    assert outside >= 50
+
+
+def test_band_split_matches_support_sum():
+    # the band split against the generated support, ties d1 = d2 and negative twists included
+    rng = random.Random(20261103)
+    ties = 0
+    for _ in range(600):
+        d = sorted((rng.randint(-6, 9) for _ in range(rng.randint(2, 5))), reverse=True)
+        if rng.random() < 0.3:
+            d[1] = d[0]
+        ties += d[0] == d[1]
+        s, h, f = Scroll(d), rng.randint(-1, 8), rng.randint(-60, 30)
+        support = list(_support(s.twists, h, f))
+        assert h0(s, C(h, f)) == sum(t + 1 for _, t in support), (s, h, f)
+        assert support_size(s, C(h, f)) == len(support), (s, h, f)
+    assert ties >= 100
+
+
+def test_large_classes_answer_promptly():
+    # about 5 * 10**11 support monomials, all of them: the Riemann-Roch value
+    assert h0(Scroll(5, 1, 0), C(10**6, 0)) == riemann_roch((5, 1, 0), 10**6, 0)
+    assert support_size(Scroll(5, 1, 0), C(10**6, 0)) == comb(10**6 + 2, 2)
+    # C(105, 5), about 9.6 * 10**7 exponent vectors, against the weight count
+    s = Scroll(9, 4, 2, 1, 0, 0)
+    assert h0(s, C(100, -150)) == weight_count_h0(s.twists, 100, -150)
+
+
+def test_weight_count_route_agrees_with_oracle():
+    rng = random.Random(20261104)
+    for _ in range(100):
+        twists = tuple(rng.randint(-4, 8) for _ in range(rng.randint(2, 4)))
+        h, f = rng.randint(0, 5), rng.randint(-30, 20)
+        assert weight_count_h0(twists, h, f) == oracle_h0(twists, h, f)
 
 
 def test_h0_two_routes_on_surfaces():

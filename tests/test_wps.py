@@ -153,3 +153,9 @@ def test_infer_ring_roundtrip_on_disjoint_degrees():
         x = WeightedCI(tuple(gens), tuple(rels))
         n_max = max(gens + rels) + 3
         assert infer_ring(hilbert_coeffs(x, n_max)) == (tuple(gens), tuple(rels))
+
+
+def test_sextic_series_is_the_riemann_roch_polynomial():
+    # case ii-a: X_6 in P(1,1,1,2,3) has degree 8, and its even degrees are h0(-kK)
+    coeffs = hilbert_coeffs(WeightedCI((1, 1, 1, 2, 3), (6,)), 60)
+    assert [coeffs[2 * k] for k in range(31)] == [rr_chi(8, k) for k in range(31)]
