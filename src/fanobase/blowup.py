@@ -67,6 +67,7 @@ def cone_case_normal_bundle(m: int) -> NormalBundle:
 
 def decomposition_fiber_coeff(a: int) -> int:
     """Fiber coefficient a + 2 in the decomposition of -K after the section blowup."""
+    require_integers("a splitting degree", (a,))
     return a + 2
 
 

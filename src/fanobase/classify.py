@@ -84,6 +84,7 @@ def prune(a: int, b: int) -> CaseVerdict:
     case (0, -1) and the product case (0, 0); everything else is
     excluded with the arithmetical rule that kills it.
     """
+    require_integers("a splitting type", (a, b))
     if b < -2 or a < b:
         raise OutOfRange(f"need a >= b >= -2, got ({a}, {b})")
     if b == -2:

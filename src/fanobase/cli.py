@@ -30,6 +30,8 @@ from .wps import WeightedCI, hilbert_coeffs, infer_ring
 
 # largest support `scroll support` prints, one line per monomial
 SUPPORT_LIMIT = 10**6
+# largest truncation degree `wps hilbert` expands, one coefficient per degree
+HILBERT_LIMIT = 10**5
 
 CLASS_HELP = "divisor class h,f meaning h*O(1) + f*F (the system O(k) - l*F is k,-l)"
 
@@ -142,6 +144,10 @@ def _cmd_k3(args) -> int:
 
 def _cmd_wps(args) -> int:
     if args.wps_op == "hilbert":
+        if args.max > HILBERT_LIMIT:
+            raise FanobaseError(
+                f"--max {args.max} is more than the {HILBERT_LIMIT} degrees this command expands"
+            )
         ci = WeightedCI(args.weights, args.degrees)
         print(_csv(hilbert_coeffs(ci, args.max)))
     else:  # infer

@@ -21,7 +21,7 @@ family down to 3 <= m <= 12.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidM, WrongRank
+from .errors import InvalidM, WrongRank, require_integers
 from .scroll import (
     INFINITE,
     DivisorClass,
@@ -116,6 +116,7 @@ def analyze_cover(m: int) -> BranchReport:
     identity R.B.Sigma = 0, which lets the residual cubic avoid the
     section curve, is asserted along the way.
     """
+    require_integers("the cover family parameter", (m,))
     if m < 3:
         raise InvalidM(f"the cover family starts at m = 3, got {m}")
     base = Scroll(m, m - 4, 0)

@@ -13,7 +13,8 @@ class FanobaseError(ValueError):
 def require_integers(owner: str, values) -> None:
     """Raise FanobaseError unless every field value of ``owner`` is an int and not a bool."""
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
+        # exact ints pass on the first test: every value type is checked on construction
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise FanobaseError(f"{owner} needs integers, got {tuple(values)!r}")
 
 

@@ -61,6 +61,7 @@ def base_locus_dimension(m: int) -> int:
     m = 2 is exactly the case (Gamma + m f).Gamma = 0, where the section
     is contracted and the base locus degenerates to a point.
     """
+    require_integers("a pencil multiplicity", (m,))
     if m < 2:
         raise InvalidM(f"need m >= 2, got {m}")
     return 0 if m == 2 else 1

@@ -17,8 +17,10 @@ Conventions, fixed once for the whole package:
   fiberwise monomial x^e (|e| = h) in a member of ``(h, f)`` is a
   polynomial of degree ``e . d + f`` on the line, hence contributes
   ``max(0, e . d + f + 1)`` to h^0.  The support, the x^e with
-  ``e . d + f >= 0``, is generated from the exponent range below for
-  :func:`monomial_support`; no exponent vector outside it is visited.
+  ``e . d + f >= 0``, is filled depth first from the exponent range
+  below for :func:`monomial_support`, the last two coordinates in closed
+  form (e_(n-1) over its range, e_n = h - e_(n-1)); no exponent vector
+  outside it is visited, so the cost is linear in the output.
 * The exponent range.  With e_i = k fixed, the heaviest monomial puts
   the other h - k on D, the largest twist other than d_i, so k occurs
   in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
@@ -158,22 +160,22 @@ def _exponent_range(d: tuple, h: int, f: int, i: int):
     return (lo, hi) if lo <= hi else None
 
 
-def _support(d: tuple, h: int, f: int):
-    """Pairs (e, e . d + f) over the support of ``|(h, f)|`` on F(d), d non-increasing.
+def _fill(out: set, prefix: tuple, d: tuple, h: int, f: int) -> None:
+    """Add prefix + e to ``out`` for each e in the support of ``|(h, f)|`` on F(d), d non-increasing, len(d) >= 2.
 
-    Descending lexicographic in e, one x_1-exponent range per level; nothing when h < 0.
+    Depth first, one x_1-exponent range per level; the last two exponents
+    are k over the range and h - k.  Nothing when h < 0.
     """
-    if len(d) == 1:
-        t = h * d[0] + f
-        if h >= 0 and t >= 0:
-            yield (h,), t
-        return
     span = _exponent_range(d, h, f, 1)
     if span is None:
         return
-    for k in range(span[1], span[0] - 1, -1):
-        for rest, t in _support(d[1:], h - k, f + k * d[0]):
-            yield (k,) + rest, t
+    lo, hi = span
+    if len(d) == 2:
+        out.update([prefix + (k, h - k) for k in range(lo, hi + 1)])
+        return
+    d1, rest = d[0], d[1:]
+    for k in range(lo, hi + 1):
+        _fill(out, prefix + (k,), rest, h - k, f + k * d1)
 
 
 def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
@@ -230,13 +232,17 @@ def support_size(s: Scroll, c: DivisorClass) -> int:
 def monomial_support(s: Scroll, c: DivisorClass) -> set:
     """Exponent vectors e, |e| = c.h, whose coefficient space is non-zero.
 
-    The support of the generic member of ``|c|``, generated from the
-    exponent range one coordinate at a time; no exponent vector outside
-    it is visited.
+    The support of the generic member of ``|c|``, filled depth first from
+    the exponent range one coordinate at a time, the last two in closed
+    form (e_(n-1) over its range, e_n the rest of the degree); no
+    exponent vector outside it is visited, so the cost is linear in the
+    size of the output.
     """
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
-    return {e for e, _ in _support(s.twists, c.h, c.f)}
+    out = set()
+    _fill(out, (), s.twists, c.h, c.f)
+    return out
 
 
 def intersect(s: Scroll, classes) -> int:
@@ -305,6 +311,7 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
     is h minus the greatest x_i-exponent over the support, INFINITE
     when the support is empty.  Indices are 1-based, matching x_1 ... x_n.
     """
+    require_integers("a coordinate index", (i,))
     if not 1 <= i <= s.rank:
         raise IndexOutOfRange(f"index {i} not in 1..{s.rank}")
     if c.h < 0:
@@ -320,6 +327,8 @@ def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):
     them.  Classes restrict coefficient-wise, so the same (h, f) pair is
     returned together with the smaller scroll.
     """
+    keep = tuple(keep)
+    require_integers("summand indices", keep)
     indices = sorted(set(keep))
     if len(indices) < 2:
         raise TooFewSummands(f"need at least two summands, got {indices}")

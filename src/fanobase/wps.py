@@ -68,6 +68,7 @@ def _series(gen_degrees, rel_degrees, n_max: int) -> list:
 
 def hilbert_coeffs(x: WeightedCI, n_max: int = DEFAULT_TRUNCATION) -> list:
     """Graded dimensions of the coordinate ring of ``x`` up to degree n_max."""
+    require_integers("a truncation degree", (n_max,))
     if n_max < 0:
         raise FanobaseError(f"n_max must be non-negative, got {n_max}")
     return _series(x.weights, x.rel_degrees, n_max)
@@ -113,7 +114,11 @@ def infer_ring(seq):
     dimension sequence of such a model (leading coefficient not 1, a
     negative entry, or the candidate driven below zero by relations).
     """
-    seq = list(seq)
+    try:
+        seq = list(seq)
+    except TypeError:
+        raise FanobaseError("a dimension sequence must be a sequence of integers") from None
+    require_integers("a dimension sequence", seq)
     if len(seq) < 2:
         raise Inconsistent("need the sequence at least through degree 1")
     if seq[0] != 1:

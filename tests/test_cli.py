@@ -99,6 +99,15 @@ def test_wps_hilbert_no_relations(capsys):
     assert code == 0 and out == "1,1,1,1\n"
 
 
+def test_wps_hilbert_refuses_large_truncation(capsys):
+    code, out, err = run(capsys, "wps", "hilbert", "--weights", "1,1", "--max", "100001")
+    assert code == 3 and out == ""
+    assert "--max 100001" in err
+    # the bound itself is expanded: C(n + 1, 1) in degree n
+    code, out, _ = run(capsys, "wps", "hilbert", "--weights", "1,1", "--max", "100000")
+    assert code == 0 and out.rstrip().split(",")[-1] == "100001"
+
+
 def test_wps_infer(capsys):
     code, out, _ = run(capsys, "wps", "infer", "--series", "1,3,7,14,25,41,63")
     assert code == 0

@@ -33,20 +33,26 @@ from fanobase import (
     SurfaceClass,
     TooFewSummands,
     WeightedCI,
+    analyze_cover,
+    base_locus_dimension,
     blowup_degree,
     canonical_class,
     cone_case,
+    decomposition_fiber_coeff,
     fiber_multiplicity_at,
     fixed_component_multiplicity,
     h0,
+    hilbert_coeffs,
+    infer_ring,
     intersect,
     minimal_degree_data,
     monomial_support,
     product_degree,
+    prune,
     restrict_to_subscroll,
     rr_chi,
 )
-from fanobase.scroll import _support, support_size
+from fanobase.scroll import support_size
 
 C = DivisorClass
 
@@ -174,8 +180,22 @@ def test_value_types_reject_bools_and_non_integers(make, bad):
         lambda v: rr_chi(2, v),
         lambda v: product_degree(v),
         lambda v: blowup_degree(BlowupStep(v, 2, 1)),
+        lambda v: fiber_multiplicity_at(Scroll(5, 1, 0), C(2, 0), v),
+        lambda v: restrict_to_subscroll(Scroll(5, 1, 0), (v, 2), C(2, 0)),
+        lambda v: hilbert_coeffs(WeightedCI((1, 1, 1, 2, 3), (6,)), v),
+        lambda v: infer_ring([1, v, 3]),
+        lambda v: infer_ring(v),
+        lambda v: infer_ring(f"{v}234"),
+        lambda v: analyze_cover(v),
+        lambda v: base_locus_dimension(v),
+        lambda v: decomposition_fiber_coeff(v),
+        lambda v: prune(v, 0),
     ],
-    ids=["cone-case", "rr-degree", "rr-twist", "product-degree", "blowup-degree"],
+    ids=[
+        "cone-case", "rr-degree", "rr-twist", "product-degree", "blowup-degree", "fiber-index",
+        "subscroll-index", "hilbert-degree", "infer-entry", "infer-sequence", "infer-text",
+        "cover-m", "k3-base-locus", "blowup-fiber-coeff", "prune",
+    ],
 )
 def test_entry_functions_reject_bools_and_non_integers(call, bad):
     with pytest.raises(FanobaseError):
@@ -246,7 +266,8 @@ def test_h0_serre_duality_on_the_line():
 
 
 def test_band_split_matches_support_sum():
-    # the band split against the generated support, ties d1 = d2 and negative twists included
+    # the band split against the generated support, ties d1 = d2 and negative twists included;
+    # h = -1 has no support (monomial_support refuses it)
     rng = random.Random(20261103)
     ties = 0
     for _ in range(600):
@@ -255,10 +276,32 @@ def test_band_split_matches_support_sum():
             d[1] = d[0]
         ties += d[0] == d[1]
         s, h, f = Scroll(d), rng.randint(-1, 8), rng.randint(-60, 30)
-        support = list(_support(s.twists, h, f))
-        assert h0(s, C(h, f)) == sum(t + 1 for _, t in support), (s, h, f)
+        support = monomial_support(s, C(h, f)) if h >= 0 else set()
+        weights = [sum(a * b for a, b in zip(e, s.twists)) + f for e in support]
+        assert h0(s, C(h, f)) == sum(t + 1 for t in weights), (s, h, f)
         assert support_size(s, C(h, f)) == len(support), (s, h, f)
     assert ties >= 100
+
+
+def test_support_matches_oracle_at_higher_rank():
+    # ranks 5 and 6, ties forced at both ends: d_(n-1) = d_n is the closed-form last level
+    rng = random.Random(20261105)
+    ties = empty = degree_zero = 0
+    for _ in range(150):
+        n = rng.randint(5, 6)
+        d = sorted((rng.randint(-4, 9) for _ in range(n)), reverse=True)
+        if rng.random() < 0.5:
+            d[1] = d[0]
+        if rng.random() < 0.5:
+            d[-2] = d[-1]
+        ties += d[0] == d[1] and d[-2] == d[-1]
+        s, h, f = Scroll(d), rng.randint(0, 10 - n), rng.randint(-30, 10)
+        support = monomial_support(s, C(h, f))
+        assert support == oracle_support(s.twists, h, f), (s, h, f)
+        assert support_size(s, C(h, f)) == len(support), (s, h, f)
+        empty += not support
+        degree_zero += h == 0
+    assert ties >= 15 and empty >= 10 and degree_zero >= 10
 
 
 def test_large_classes_answer_promptly():
