@@ -13,22 +13,20 @@ degree-d del Pezzo surface times the line, are all the blowup calculus
 the classification needs.
 """
 
-from dataclasses import dataclass
-
-from .errors import FanobaseError, InvalidDegree, InvalidM, require_integers
+from .errors import FanobaseError, InvalidDegree, InvalidM, Value, require_integers
 
 
-@dataclass(frozen=True, slots=True)
-class NormalBundle:
+class NormalBundle(Value):
     """Splitting type O(a) + O(b), a >= b, of the normal bundle of a rational curve."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        require_integers("a splitting type", (self.a, self.b))
-        if self.a < self.b:
-            raise FanobaseError(f"splitting type needs a >= b, got ({self.a}, {self.b})")
+    def __init__(self, a: int, b: int):
+        require_integers("a splitting type", (a, b))
+        if a < b:
+            raise FanobaseError(f"splitting type needs a >= b, got ({a}, {b})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def m(self) -> int:
@@ -36,16 +34,16 @@ class NormalBundle:
         return self.a + self.b + 4
 
 
-@dataclass(frozen=True, slots=True)
-class BlowupStep:
+class BlowupStep(Value):
     """One blowup: ambient (-K)^3, the curve degree -K.C, and the curve genus."""
 
-    ambient_degree: int
-    curve_degree: int
-    genus: int
+    __slots__ = ("ambient_degree", "curve_degree", "genus")
 
-    def __post_init__(self):
-        require_integers("a blowup step", (self.ambient_degree, self.curve_degree, self.genus))
+    def __init__(self, ambient_degree: int, curve_degree: int, genus: int):
+        require_integers("a blowup step", (ambient_degree, curve_degree, genus))
+        object.__setattr__(self, "ambient_degree", ambient_degree)
+        object.__setattr__(self, "curve_degree", curve_degree)
+        object.__setattr__(self, "genus", genus)
 
 
 def blowup_degree(step: BlowupStep) -> int:

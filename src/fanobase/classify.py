@@ -20,13 +20,12 @@ of the base curve (a >= b >= -2):
 claim of a case through the calculus modules.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import blowup, cover, hirzebruch, k3pencil, wps
 from .blowup import BlowupStep, NormalBundle
-from .errors import CheckFailure, OutOfRange, require_integers
+from .errors import CheckFailure, OutOfRange, Value, require_integers
 from .hirzebruch import from_scroll, minimal_section
 from .k3pencil import PencilClass
 from .scroll import DivisorClass, intersect, restrict_to_subscroll
@@ -40,41 +39,48 @@ class PruneKind(Enum):
     EXCLUDED = "excluded"
 
 
-@dataclass(frozen=True, slots=True)
-class CaseVerdict:
+class CaseVerdict(Value):
     """Outcome of pruning one splitting type (a, b)."""
 
-    kind: PruneKind
-    reason: str = ""
+    __slots__ = ("kind", "reason")
+
+    def __init__(self, kind: PruneKind, reason: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(Value):
     """One named numerical check: passes when got equals expected."""
 
-    name: str
-    expected: object
-    got: object
-    rule: str = ""
+    __slots__ = ("name", "expected", "got", "rule")
+
+    def __init__(self, name: str, expected, got, rule: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "got", got)
+        object.__setattr__(self, "rule", rule)
 
     @property
     def passed(self) -> bool:
         return self.expected == self.got
 
 
-@dataclass(frozen=True)
-class ClassificationCase:
+class ClassificationCase(Value):
     """One row of the classification with its derived invariants."""
 
-    label: str
-    m: int
-    nb: NormalBundle | None
-    w: str
-    degree: int
-    bs_dim: int
-    construction: str
-    assumes: tuple = ()
-    notes: str = ""
+    __slots__ = ("label", "m", "nb", "w", "degree", "bs_dim", "construction", "assumes", "notes")
+
+    def __init__(self, label: str, m: int, nb: NormalBundle | None, w: str, degree: int,
+                 bs_dim: int, construction: str, assumes: tuple = (), notes: str = ""):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "nb", nb)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "bs_dim", bs_dim)
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "assumes", assumes)
+        object.__setattr__(self, "notes", notes)
 
 
 def prune(a: int, b: int) -> CaseVerdict:

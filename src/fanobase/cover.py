@@ -18,10 +18,9 @@ is the necessary condition for canonical singularities that cuts the
 family down to 3 <= m <= 12.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidM, WrongRank, require_integers
+from .errors import InvalidM, Value, WrongRank, require_integers
 from .scroll import (
     INFINITE,
     DivisorClass,
@@ -43,17 +42,18 @@ class Verdict(Enum):
         return self is Verdict.PASSES_DU_VAL_NECESSARY
 
 
-@dataclass(frozen=True, slots=True)
-class DoubleCoverSpec:
+class DoubleCoverSpec(Value):
     """Base scroll with branch class D and its half L, D = 2L."""
 
-    base: Scroll
-    branch: DivisorClass
-    half: DivisorClass
+    __slots__ = ("base", "branch", "half")
+
+    def __init__(self, base: Scroll, branch: DivisorClass, half: DivisorClass):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "half", half)
 
 
-@dataclass(frozen=True, slots=True)
-class BranchReport:
+class BranchReport(Value):
     """Everything the branch pipeline establishes for one value of m.
 
     ``residual_class`` is the class complement R = D - B of one copy of
@@ -63,13 +63,17 @@ class BranchReport:
     0 for m = 3, where the branch can be chosen to avoid B entirely.
     """
 
-    m: int
-    base: Scroll
-    b_class: DivisorClass
-    b_mult: int
-    residual_class: DivisorClass
-    fiber_mult: object
-    verdict: Verdict
+    __slots__ = ("m", "base", "b_class", "b_mult", "residual_class", "fiber_mult", "verdict")
+
+    def __init__(self, m: int, base: Scroll, b_class: DivisorClass, b_mult: int,
+                 residual_class: DivisorClass, fiber_mult, verdict: Verdict):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "b_class", b_class)
+        object.__setattr__(self, "b_mult", b_mult)
+        object.__setattr__(self, "residual_class", residual_class)
+        object.__setattr__(self, "fiber_mult", fiber_mult)
+        object.__setattr__(self, "verdict", verdict)
 
     def to_dict(self) -> dict:
         """The one output record: CLI text and JSON render it; ``branch`` is D = R + B."""

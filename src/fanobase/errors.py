@@ -1,9 +1,51 @@
-"""Domain errors shared by all calculus modules.
+"""Domain errors and the value-type base shared by all calculus modules.
 
 Every error raised on bad mathematical input derives from
 :class:`FanobaseError`, so callers (in particular the command line
 front end) can map the whole family to a single "domain error" outcome.
+Every value type derives from :class:`Value`.
 """
+
+from operator import attrgetter
+
+
+class Value:
+    """Immutable value whose fields are its ``__slots__``.
+
+    A subclass declares ``__slots__`` and an ``__init__`` that validates
+    its arguments and stores each field with ``object.__setattr__``.  It
+    gets equality by class and fields, a hash by fields, the repr
+    ``Name(field=value, ...)``, pickling and copying through its
+    constructor, and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class FanobaseError(ValueError):
@@ -92,6 +134,10 @@ class NonIntegralChi(FanobaseError):
 
 class Inconsistent(FanobaseError):
     """The dimension sequence is not the Hilbert function of any complete-intersection model."""
+
+
+class ModelTooLarge(FanobaseError):
+    """The inferred model would have more generators and relations than the inference builds."""
 
 
 # ------------------------------------------------------------ double cover

@@ -11,31 +11,30 @@ and negative-twist rank-2 presentations are normalized to F(e, 0) by
 the scroll constructor, so every surface has a unique normal form here.
 """
 
-from dataclasses import dataclass
-
 from .errors import (
     EmptySystem,
     FanobaseError,
     NotEffectiveShape,
     RankMismatch,
     SurfaceMismatch,
+    Value,
     require_integers,
 )
 from .scroll import DivisorClass, Scroll, fixed_component_multiplicity
 
 
-@dataclass(frozen=True, slots=True)
-class SurfaceClass:
+class SurfaceClass(Value):
     """The class xi*s + fib*f on Sigma_e, with s the minimal section."""
 
-    e: int
-    xi: int
-    fib: int
+    __slots__ = ("e", "xi", "fib")
 
-    def __post_init__(self):
-        require_integers("a surface class", (self.e, self.xi, self.fib))
-        if self.e < 0:
-            raise FanobaseError(f"surface index must be non-negative, got {self.e}")
+    def __init__(self, e: int, xi: int, fib: int):
+        require_integers("a surface class", (e, xi, fib))
+        if e < 0:
+            raise FanobaseError(f"surface index must be non-negative, got {e}")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "fib", fib)
 
     def _same_surface(self, other):
         if self.e != other.e:

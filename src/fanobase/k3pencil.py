@@ -13,21 +13,19 @@ locus dichotomy (a point exactly when m = 2), the degree formula
 cover family to the normal form.
 """
 
-from dataclasses import dataclass
-
-from .errors import InvalidM, NoSection, NotElephantShape, WrongSurface, require_integers
+from .errors import InvalidM, NoSection, NotElephantShape, Value, WrongSurface, require_integers
 from .hirzebruch import SurfaceClass
 
 
-@dataclass(frozen=True, slots=True)
-class PencilClass:
+class PencilClass(Value):
     """gamma*(section) + ell*(elliptic fiber) in the rank-2 lattice."""
 
-    gamma: int
-    ell: int
+    __slots__ = ("gamma", "ell")
 
-    def __post_init__(self):
-        require_integers("a pencil class", (self.gamma, self.ell))
+    def __init__(self, gamma: int, ell: int):
+        require_integers("a pencil class", (gamma, ell))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "ell", ell)
 
     def __add__(self, other):
         return PencilClass(self.gamma + other.gamma, self.ell + other.ell)

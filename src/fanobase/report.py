@@ -7,11 +7,11 @@ re-serializes to the identical byte string.
 """
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .classify import case_checks, enumerate_cases
+from .errors import Value
 
 
 def to_json(data: dict) -> str:
@@ -19,12 +19,14 @@ def to_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
     """Check records ``{case, name, rule, expected, got, pass}`` in table order."""
 
-    version: str
-    checks: tuple
+    __slots__ = ("version", "checks")
+
+    def __init__(self, version: str, checks: tuple):
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def summary(self) -> dict:

@@ -46,7 +46,6 @@ m = 3); every formula here holds verbatim for them.  Only
 the tautological map is a cone over a scroll only in that range.
 """
 
-from dataclasses import dataclass
 from functools import total_ordering
 from math import comb
 
@@ -59,6 +58,7 @@ from .errors import (
     NegativeTwist,
     NotRigid,
     TooFewSummands,
+    Value,
     require_integers,
 )
 
@@ -85,15 +85,15 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorClass:
+class DivisorClass(Value):
     """The class h*O(1) + f*F on a scroll; a pure value, addition componentwise."""
 
-    h: int
-    f: int
+    __slots__ = ("h", "f")
 
-    def __post_init__(self):
-        require_integers("a divisor class", (self.h, self.f))
+    def __init__(self, h: int, f: int):
+        require_integers("a divisor class", (h, f))
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "f", f)
 
     def __add__(self, other):
         return DivisorClass(self.h + other.h, self.f + other.f)
@@ -115,15 +115,14 @@ class DivisorClass:
         return f"({self.h}, {self.f})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Scroll:
+class Scroll(Value):
     """F(d1, ..., dn); the constructor sorts twists non-increasing.
 
     Accepts either separate integer arguments ``Scroll(5, 1, 0)`` or a
     single iterable ``Scroll([5, 1, 0])``.
     """
 
-    twists: tuple
+    __slots__ = ("twists",)
 
     def __init__(self, *twists):
         if len(twists) == 1 and hasattr(twists[0], "__iter__"):
@@ -327,7 +326,10 @@ def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):
     them.  Classes restrict coefficient-wise, so the same (h, f) pair is
     returned together with the smaller scroll.
     """
-    keep = tuple(keep)
+    try:
+        keep = tuple(keep)
+    except TypeError:
+        raise FanobaseError(f"summand indices must be a collection of integers, got {keep!r}") from None
     require_integers("summand indices", keep)
     indices = sorted(set(keep))
     if len(indices) < 2:

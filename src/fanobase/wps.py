@@ -13,29 +13,34 @@ series; nothing here ever touches a float.  The three tools are
   complete-intersection model.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import FanobaseError, Inconsistent, NonIntegralChi, WrongDimension, require_integers
+from .errors import (
+    FanobaseError,
+    Inconsistent,
+    ModelTooLarge,
+    NonIntegralChi,
+    Value,
+    WrongDimension,
+    require_integers,
+)
 
 DEFAULT_TRUNCATION = 24
+# most generators plus relations infer_ring builds; a larger model is refused
+MODEL_LIMIT = 10**5
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedCI:
+class WeightedCI(Value):
     """Weights (w_0, ..., w_N) and relation degrees (e_1, ..., e_c) of a weighted complete intersection."""
 
-    weights: tuple
-    rel_degrees: tuple = ()
+    __slots__ = ("weights", "rel_degrees")
 
-    def __post_init__(self):
+    def __init__(self, weights: tuple, rel_degrees: tuple = ()):
         try:
-            weights, rels = tuple(self.weights), tuple(self.rel_degrees)
+            weights, rels = tuple(weights), tuple(rel_degrees)
         except TypeError:
             raise FanobaseError("weights and relation degrees must be sequences of integers") from None
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rel_degrees", rels)
         require_integers("a weighted complete intersection", weights + rels)
         if not weights or any(w < 1 for w in weights):
             raise FanobaseError(f"weights must be positive integers, got {weights!r}")
@@ -43,6 +48,8 @@ class WeightedCI:
             raise FanobaseError(f"relation degrees must be integers >= 2, got {rels!r}")
         if len(rels) >= len(weights):
             raise FanobaseError("need fewer relations than weights (positive dimension)")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rel_degrees", rels)
 
     @property
     def dimension(self) -> int:
@@ -112,7 +119,9 @@ def infer_ring(seq):
     degree cancel in any Hilbert series, so the returned model is the
     minimal one.  Raises Inconsistent when the input cannot be the
     dimension sequence of such a model (leading coefficient not 1, a
-    negative entry, or the candidate driven below zero by relations).
+    negative entry, or the candidate driven below zero by relations),
+    and ModelTooLarge, before building it, when the model would have more
+    than MODEL_LIMIT generators and relations.
     """
     try:
         seq = list(seq)
@@ -135,6 +144,10 @@ def infer_ring(seq):
                 f"degree {d}: relations drove the model dimension to {candidate[d]}"
             )
         delta = seq[d] - candidate[d]
+        if len(gens) + len(rels) + abs(delta) > MODEL_LIMIT:
+            raise ModelTooLarge(
+                f"degree {d}: the model would grow past {MODEL_LIMIT} generators and relations"
+            )
         if delta > 0:
             gens.extend([d] * delta)
         elif delta < 0:

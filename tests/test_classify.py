@@ -1,6 +1,5 @@
 """The thirteen-case table, the (a, b) pruning, and the cross-module checks."""
 
-import dataclasses
 import time
 from collections import Counter
 
@@ -8,6 +7,7 @@ import pytest
 
 from fanobase import (
     CheckFailure,
+    ClassificationCase,
     NormalBundle,
     OutOfRange,
     PruneKind,
@@ -101,11 +101,18 @@ def test_out_of_family_cone_case_fails_at_branch_analysis():
 
 def test_suite_follows_case_kind_not_label():
     for case in enumerate_cases():
-        renamed = dataclasses.replace(case, label="renamed")
+        renamed = ClassificationCase(
+            "renamed", case.m, case.nb, case.w, case.degree, case.bs_dim,
+            case.construction, case.assumes, case.notes,
+        )
         assert [c.name for c in case_checks(renamed)] == [c.name for c in case_checks(case)]
 
 
 def test_excluded_splitting_type_has_no_suite():
-    excluded = dataclasses.replace(product_case(), nb=NormalBundle(1, 1))
+    case = product_case()
+    excluded = ClassificationCase(
+        case.label, case.m, NormalBundle(1, 1), case.w, case.degree, case.bs_dim,
+        case.construction, case.assumes, case.notes,
+    )
     with pytest.raises(OutOfRange):
         case_checks(excluded)

@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,15 @@ def test_wps_infer_polynomial_ring(capsys):
     code, out, _ = run(capsys, "wps", "infer", "--series", "1,1,1,1")
     assert code == 0
     assert out.splitlines() == ["generators 1", "relations (none)"]
+
+
+def test_wps_infer_refuses_a_huge_model(capsys):
+    # 10**9 degree-1 generators would be a list of about 8 GB
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wps", "infer", "--series", "1,1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "100000 generators and relations" in err
 
 
 def test_cover_analyze_beyond_bound_is_data_not_error(capsys):

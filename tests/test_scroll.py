@@ -182,6 +182,7 @@ def test_value_types_reject_bools_and_non_integers(make, bad):
         lambda v: blowup_degree(BlowupStep(v, 2, 1)),
         lambda v: fiber_multiplicity_at(Scroll(5, 1, 0), C(2, 0), v),
         lambda v: restrict_to_subscroll(Scroll(5, 1, 0), (v, 2), C(2, 0)),
+        lambda v: restrict_to_subscroll(Scroll(5, 1, 0), v, C(2, 0)),
         lambda v: hilbert_coeffs(WeightedCI((1, 1, 1, 2, 3), (6,)), v),
         lambda v: infer_ring([1, v, 3]),
         lambda v: infer_ring(v),
@@ -193,7 +194,7 @@ def test_value_types_reject_bools_and_non_integers(make, bad):
     ],
     ids=[
         "cone-case", "rr-degree", "rr-twist", "product-degree", "blowup-degree", "fiber-index",
-        "subscroll-index", "hilbert-degree", "infer-entry", "infer-sequence", "infer-text",
+        "subscroll-index", "subscroll-keep", "hilbert-degree", "infer-entry", "infer-sequence", "infer-text",
         "cover-m", "k3-base-locus", "blowup-fiber-coeff", "prune",
     ],
 )
@@ -576,6 +577,10 @@ def test_restrict_examples():
         restrict_to_subscroll(s, (2,), C(0, 0))
     with pytest.raises(IndexOutOfRange):
         restrict_to_subscroll(s, (1, 5), C(0, 0))
+    # keep must be a collection of indices
+    for keep in (5, None):
+        with pytest.raises(FanobaseError):
+            restrict_to_subscroll(Scroll(5, 1, 0), keep, C(2, 0))
 
 
 def test_restrict_is_additive():

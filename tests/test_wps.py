@@ -16,6 +16,8 @@ from fanobase import (
     infer_ring,
     rr_chi,
 )
+from fanobase.errors import ModelTooLarge
+from fanobase.wps import MODEL_LIMIT
 
 
 def oracle_series(gens, rels, n_max):
@@ -137,6 +139,16 @@ def test_infer_ring_rejects_bad_input():
         infer_ring([1, 2, -1])
     with pytest.raises(Inconsistent):
         infer_ring([1, 2, 0, 0])  # three quadric relations overshoot degree 3
+
+
+def test_infer_ring_refuses_a_model_past_the_limit():
+    for seq in ([1, 10**9], [1, 0, 10**9], [1, MODEL_LIMIT + 1]):
+        with pytest.raises(ModelTooLarge):
+            infer_ring(seq)
+    # the limit itself is built, and so is a large model that fits under it
+    assert infer_ring([1, MODEL_LIMIT]) == ((1,) * MODEL_LIMIT, ())
+    n = 10**4
+    assert infer_ring([1, n, n * (n + 1) // 2]) == ((1,) * n, ())
 
 
 def test_infer_ring_roundtrip_on_disjoint_degrees():
