@@ -7,100 +7,70 @@ divisor classes, the elliptic-pencil lattice on the anticanonical K3,
 weighted Hilbert series with Riemann-Roch counts, branch-divisor
 degenerations of anticanonical double covers, blowup degree chains,
 and the thirteen-case classification table that ties them together.
+
+The package namespace is lazy: ``import fanobase`` imports no
+submodule, and each public name (and each submodule) is imported on
+first use, so a process that needs one kernel module pays for that
+module only.
 """
 
-from .blowup import (
-    BlowupStep,
-    NormalBundle,
-    blowup_degree,
-    cone_case_normal_bundle,
-    decomposition_fiber_coeff,
-    exceptional_surface_index,
-    product_degree,
-)
-from .classify import (
-    CaseVerdict,
-    CheckResult,
-    ClassificationCase,
-    PruneKind,
-    case_checks,
-    cone_case,
-    enumerate_cases,
-    prune,
-    verify_case,
-)
-from .cover import (
-    BranchReport,
-    DoubleCoverSpec,
-    Verdict,
-    analyze_cover,
-    branch_for_taut_anticanonical,
-    cover_degree,
-)
-from .errors import (
-    ArityMismatch,
-    CheckFailure,
-    EmptySystem,
-    FanobaseError,
-    Inconsistent,
-    IndexOutOfRange,
-    InvalidDegree,
-    InvalidM,
-    NegativeDegree,
-    NegativeTwist,
-    NoSection,
-    NonIntegralChi,
-    NotEffectiveShape,
-    NotElephantShape,
-    NotRigid,
-    OutOfRange,
-    RankMismatch,
-    SurfaceMismatch,
-    TooFewSummands,
-    WrongDimension,
-    WrongRank,
-    WrongSurface,
-)
-from .hirzebruch import (
-    SurfaceClass,
-    canonical_surface_class,
-    forced_minimal_decomposition,
-    from_scroll,
-    genus,
-    intersect2,
-    minimal_section,
-    to_scroll,
-)
-from .k3pencil import (
-    PencilClass,
-    base_locus_dimension,
-    blowup_section_reduce,
-    cover_pullback,
-    dot,
-    fano_degree,
-    saint_donat_form,
-    square,
-)
-from .report import Report, build_report
-from .scroll import (
-    INFINITE,
-    DivisorClass,
-    Scroll,
-    canonical_class,
-    fiber_multiplicity_at,
-    fixed_component_multiplicity,
-    h0,
-    intersect,
-    minimal_degree_data,
-    monomial_support,
-    restrict_to_subscroll,
-)
-from .wps import (
-    WeightedCI,
-    anticanonical_degree,
-    hilbert_coeffs,
-    infer_ring,
-    rr_chi,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# home module of every public name
+_EXPORTS = {
+    "blowup": (
+        "BlowupStep", "NormalBundle", "blowup_degree", "cone_case_normal_bundle",
+        "decomposition_fiber_coeff", "exceptional_surface_index", "product_degree",
+    ),
+    "classify": (
+        "CaseVerdict", "CheckResult", "ClassificationCase", "PruneKind", "case_checks",
+        "cone_case", "enumerate_cases", "prune", "verify_case",
+    ),
+    "cover": (
+        "BranchReport", "DoubleCoverSpec", "Verdict", "analyze_cover",
+        "branch_for_taut_anticanonical", "cover_degree",
+    ),
+    "errors": (
+        "ArityMismatch", "CheckFailure", "EmptySystem", "FanobaseError", "Inconsistent",
+        "IndexOutOfRange", "InvalidDegree", "InvalidM", "NegativeDegree", "NegativeTwist",
+        "NoSection", "NonIntegralChi", "NotEffectiveShape", "NotElephantShape", "NotRigid",
+        "OutOfRange", "RankMismatch", "SurfaceMismatch", "TooFewSummands", "WrongDimension",
+        "WrongRank", "WrongSurface",
+    ),
+    "hirzebruch": (
+        "SurfaceClass", "canonical_surface_class", "forced_minimal_decomposition",
+        "from_scroll", "genus", "intersect2", "minimal_section", "to_scroll",
+    ),
+    "k3pencil": (
+        "PencilClass", "base_locus_dimension", "blowup_section_reduce", "cover_pullback",
+        "dot", "fano_degree", "saint_donat_form", "square",
+    ),
+    "report": ("Report", "build_report"),
+    "scroll": (
+        "INFINITE", "DivisorClass", "Scroll", "canonical_class", "fiber_multiplicity_at",
+        "fixed_component_multiplicity", "h0", "intersect", "minimal_degree_data",
+        "monomial_support", "restrict_to_subscroll",
+    ),
+    "wps": ("WeightedCI", "anticanonical_degree", "hilbert_coeffs", "infer_ring", "rr_chi"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import a public name's home module on first access and keep the name here."""
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

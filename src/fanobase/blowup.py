@@ -41,6 +41,8 @@ class BlowupStep(Value):
 
     def __init__(self, ambient_degree: int, curve_degree: int, genus: int):
         require_integers("a blowup step", (ambient_degree, curve_degree, genus))
+        if genus < 0:
+            raise FanobaseError(f"curve genus must be non-negative, got {genus}")
         object.__setattr__(self, "ambient_degree", ambient_degree)
         object.__setattr__(self, "curve_degree", curve_degree)
         object.__setattr__(self, "genus", genus)

@@ -11,7 +11,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .classify import case_checks, enumerate_cases
-from .errors import Value
+from .errors import FanobaseError, Value, require_integers
 
 
 def to_json(data: dict) -> str:
@@ -58,7 +58,17 @@ def _jsonable(value):
 
 
 def build_report(version: str, max_degree: int | None = None) -> Report:
-    """Verification report over all cases (optionally capped by degree)."""
+    """Verification report over all cases (optionally capped by degree).
+
+    Raises FanobaseError for a cap that is not an integer or that no case
+    meets, so a capped report never comes out empty and all green.
+    """
+    cases = enumerate_cases()
+    if max_degree is not None:
+        require_integers("a maximum degree", (max_degree,))
+        cases = [case for case in cases if case.degree <= max_degree]
+        if not cases:
+            raise FanobaseError(f"no case has anticanonical degree <= {max_degree}")
     return Report(
         version=version,
         checks=tuple(
@@ -70,8 +80,7 @@ def build_report(version: str, max_degree: int | None = None) -> Report:
                 "got": _jsonable(check.got),
                 "pass": check.passed,
             }
-            for case in enumerate_cases()
-            if max_degree is None or case.degree <= max_degree
+            for case in cases
             for check in case_checks(case)
         ),
     )

@@ -13,7 +13,6 @@ series; nothing here ever touches a float.  The three tools are
   complete-intersection model.
 """
 
-from fractions import Fraction
 from math import prod
 
 from .errors import (
@@ -88,6 +87,9 @@ def anticanonical_degree(x: WeightedCI):
     Returns the Fraction together with a flag telling whether it is an
     integer >= 1 (the Gorenstein Fano range).
     """
+    # imported here, its only use, so importing this module loads no fractions/decimal
+    from fractions import Fraction
+
     if x.dimension != 3:
         raise WrongDimension(f"{x} has dimension {x.dimension}, need 3")
     value = Fraction(x.amplitude() ** 3 * prod(x.rel_degrees), prod(x.weights))

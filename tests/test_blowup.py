@@ -39,6 +39,13 @@ def test_blowup_degree_monotonicity():
         assert blowup_degree(BlowupStep(20, 3, g + 1)) > blowup_degree(BlowupStep(20, 3, g))
 
 
+def test_blowup_step_rejects_negative_genus():
+    assert blowup_degree(BlowupStep(1, 0, 0)) == -1
+    for g in (-1, -5):
+        with pytest.raises(FanobaseError):
+            BlowupStep(1, 0, g)
+
+
 def test_normal_bundle():
     nb = NormalBundle(3, -2)
     assert nb.m == 5

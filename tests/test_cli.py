@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fanobase
+from fanobase import FanobaseError, build_report
 from fanobase.cli import main
 from fanobase.report import _jsonable
 
@@ -203,6 +204,20 @@ def test_verify_paper_max_degree(capsys):
     assert out.count("== case") == 1
 
 
+@pytest.mark.parametrize("cap", ["1", "0", "-3"])
+def test_verify_paper_max_degree_below_every_case(capsys, cap):
+    # the smallest case degree is 2: a lower cap verifies nothing and must not pass
+    code, out, err = run(capsys, "verify-paper", "--max-degree", cap)
+    assert code == 3 and out == ""
+    assert f"no case has anticanonical degree <= {cap}" in err
+
+
+@pytest.mark.parametrize("cap", ["x", 2.0, True, [2]])
+def test_build_report_rejects_a_non_integer_cap(cap):
+    with pytest.raises(FanobaseError):
+        build_report(fanobase.__version__, max_degree=cap)
+
+
 def test_verify_paper_json_round_trip(capsys):
     code, out, _ = run(capsys, "verify-paper", "--json")
     assert code == 0
@@ -240,6 +255,9 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "cover", "analyze", "--m", "2")
     assert code == 3
     assert "error:" in err
+    code, out, err = run(capsys, "blowup", "degree", "--ambient", "1", "--curve", "0", "--genus", "-1")
+    assert code == 3 and out == ""
+    assert "genus must be non-negative" in err
 
 
 def test_arity_domain_error(capsys):

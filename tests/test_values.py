@@ -2,8 +2,10 @@
 
 Equality by class and fields, a hash by fields, immutability, keyword
 construction and defaults, the ``Name(field=value, ...)`` repr, copying
-and pickling; and a cold ``import fanobase.cli`` that loads neither
-``dataclasses`` nor ``inspect``.
+and pickling; the lazy package namespace, whose public names are those
+of the eager one and resolve to their home modules' objects; and cold
+imports: ``fanobase.cli`` loads neither ``dataclasses`` nor ``inspect``,
+and ``fanobase.scroll`` or ``fanobase.wps`` loads no other submodule.
 """
 
 import copy
@@ -11,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -128,9 +131,64 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, args):
         assert type(twin) is cls and twin == value
 
 
-def test_cli_import_loads_no_dataclasses():
+# the package's public names, as the eager namespace of version 0.1.0 exported them
+PUBLIC_NAMES = {
+    "ArityMismatch", "BlowupStep", "BranchReport", "CaseVerdict", "CheckFailure", "CheckResult",
+    "ClassificationCase", "DivisorClass", "DoubleCoverSpec", "EmptySystem", "FanobaseError",
+    "INFINITE", "Inconsistent", "IndexOutOfRange", "InvalidDegree", "InvalidM", "NegativeDegree",
+    "NegativeTwist", "NoSection", "NonIntegralChi", "NormalBundle", "NotEffectiveShape",
+    "NotElephantShape", "NotRigid", "OutOfRange", "PencilClass", "PruneKind", "RankMismatch",
+    "Report", "Scroll", "SurfaceClass", "SurfaceMismatch", "TooFewSummands", "Verdict",
+    "WeightedCI", "WrongDimension", "WrongRank", "WrongSurface", "analyze_cover",
+    "anticanonical_degree", "base_locus_dimension", "blowup_degree", "blowup_section_reduce",
+    "branch_for_taut_anticanonical", "build_report", "canonical_class", "canonical_surface_class",
+    "case_checks", "cone_case", "cone_case_normal_bundle", "cover_degree", "cover_pullback",
+    "decomposition_fiber_coeff", "dot", "enumerate_cases", "exceptional_surface_index",
+    "fano_degree", "fiber_multiplicity_at", "fixed_component_multiplicity",
+    "forced_minimal_decomposition", "from_scroll", "genus", "h0", "hilbert_coeffs", "infer_ring",
+    "intersect", "intersect2", "minimal_degree_data", "minimal_section", "monomial_support",
+    "product_degree", "prune", "restrict_to_subscroll", "rr_chi", "saint_donat_form", "square",
+    "to_scroll", "verify_case",
+}
+SUBMODULES = ("blowup", "classify", "cli", "cover", "errors", "hirzebruch", "k3pencil", "report",
+              "scroll", "wps")
+
+
+def test_public_names_resolve_to_their_home_objects():
+    assert set(fanobase.__all__) == PUBLIC_NAMES
+    assert set(dir(fanobase)) >= PUBLIC_NAMES | set(SUBMODULES)
+    for name in PUBLIC_NAMES:
+        value = getattr(fanobase, name)
+        home = import_module(value.__module__)
+        assert home.__name__.startswith("fanobase.") and getattr(home, name) is value
+    star = {}
+    exec("from fanobase import *", star)
+    assert {name for name in star if not name.startswith("_")} == PUBLIC_NAMES
+    assert all(star[name] is getattr(fanobase, name) for name in PUBLIC_NAMES)
+    with pytest.raises(AttributeError):
+        fanobase.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fanobase import no_such_name", {})
+
+
+def _cold_import(statement: str) -> set:
+    """Module names loaded by a fresh interpreter that runs ``statement``."""
     env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
-    code = "import sys, fanobase.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out == "[]\n"
+    return set(out.split())
+
+
+def test_cli_import_loads_no_dataclasses():
+    assert not {"dataclasses", "inspect"} & _cold_import("import fanobase.cli")
+    # a bare import resolves every submodule on first use
+    loaded = _cold_import("import fanobase; fanobase.scroll.h0; fanobase.cli.main")
+    assert {f"fanobase.{name}" for name in SUBMODULES} <= loaded
+    # one kernel module costs that module's import and nothing more
+    stdlib = {"json", "argparse", "fractions", "decimal"}
+    for module in ("scroll", "wps"):
+        loaded = _cold_import(f"import fanobase.{module}")
+        assert {m for m in loaded if m.startswith("fanobase")} == {
+            "fanobase", "fanobase.errors", f"fanobase.{module}"}
+        assert not stdlib & loaded
