@@ -12,28 +12,22 @@ import os
 import sys
 
 from . import __version__
-from .blowup import BlowupStep, blowup_degree
-from .classify import enumerate_cases
-from .cover import analyze_cover
 from .errors import FanobaseError
-from .hirzebruch import SurfaceClass, forced_minimal_decomposition
-from .k3pencil import (
-    base_locus_dimension,
-    blowup_section_reduce,
-    cover_pullback,
-    fano_degree,
-    saint_donat_form,
-)
-from .report import build_report, to_json
 from .scroll import DivisorClass, Scroll, h0, intersect, monomial_support, support_size
-from .wps import WeightedCI, hilbert_coeffs, infer_ring
+
+# Each _cmd_* imports the other modules it uses, so a process loads only its
+# subcommand's modules: `scroll h0` or `blowup degree` load none of classify,
+# cover, report, json or fractions.  scroll stays here for the argparse types.
 
 # largest support `scroll support` prints, one line per monomial
 SUPPORT_LIMIT = 10**6
 # largest truncation degree `wps hilbert` expands, one coefficient per degree
 HILBERT_LIMIT = 10**5
 
-CLASS_HELP = "divisor class h,f meaning h*O(1) + f*F (the system O(k) - l*F is k,-l)"
+CLASS_HELP = (
+    "divisor class h,f meaning h*O(1) + f*F (the system O(k) - l*F is k,-l); "
+    "write a negative h as --class=-1,3"
+)
 
 
 def _csv_ints(text: str) -> tuple:
@@ -66,6 +60,7 @@ def _int_pair(text: str) -> tuple:
 
 def _emit(data: dict, as_json: bool, render) -> int:
     """Print ``data`` as JSON or as ``render(data)``; exit 1 if its summary counts failures."""
+    from .report import to_json
     print(to_json(data) if as_json else render(data))
     return 1 if data.get("summary", {}).get("failed") else 0
 
@@ -94,6 +89,7 @@ def _verify_text(data: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .report import build_report
     report = build_report(__version__, max_degree=args.max_degree)
     return _emit(report.to_dict(), args.json, _verify_text)
 
@@ -120,6 +116,7 @@ def _cmd_scroll(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from .hirzebruch import SurfaceClass, forced_minimal_decomposition
     xi, fib = args.klass
     mu, residual = forced_minimal_decomposition(SurfaceClass(args.e, xi, fib))
     print(f"multiplicity {mu}")
@@ -128,6 +125,14 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_k3(args) -> int:
+    from .hirzebruch import SurfaceClass
+    from .k3pencil import (
+        base_locus_dimension,
+        blowup_section_reduce,
+        cover_pullback,
+        fano_degree,
+        saint_donat_form,
+    )
     m = args.m
     start = SurfaceClass(4, 1, m)
     pulled = cover_pullback(start)
@@ -143,6 +148,7 @@ def _cmd_k3(args) -> int:
 
 
 def _cmd_wps(args) -> int:
+    from .wps import WeightedCI, hilbert_coeffs, infer_ring
     if args.wps_op == "hilbert":
         if args.max > HILBERT_LIMIT:
             raise FanobaseError(
@@ -152,7 +158,7 @@ def _cmd_wps(args) -> int:
         print(_csv(hilbert_coeffs(ci, args.max)))
     else:  # infer
         gens, rels = infer_ring(list(args.series))
-        print("generators " + _csv(gens))
+        print("generators " + (_csv(gens) if gens else "(none)"))
         print("relations " + (_csv(rels) if rels else "(none)"))
     return 0
 
@@ -170,10 +176,12 @@ def _cover_text(data: dict) -> str:
 
 
 def _cmd_cover(args) -> int:
+    from .cover import analyze_cover
     return _emit(analyze_cover(args.m).to_dict(), args.json, _cover_text)
 
 
 def _cmd_classify(args) -> int:
+    from .classify import enumerate_cases
     for case in enumerate_cases():
         nb = f"({case.nb.a},{case.nb.b})" if case.nb else "none"
         print(
@@ -184,6 +192,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .blowup import BlowupStep, blowup_degree
     print(blowup_degree(BlowupStep(args.ambient, args.curve, args.genus)))
     return 0
 

@@ -18,9 +18,11 @@ Conventions, fixed once for the whole package:
   polynomial of degree ``e . d + f`` on the line, hence contributes
   ``max(0, e . d + f + 1)`` to h^0.  The support, the x^e with
   ``e . d + f >= 0``, is filled depth first from the exponent range
-  below for :func:`monomial_support`, the last two coordinates in closed
-  form (e_(n-1) over its range, e_n = h - e_(n-1)); no exponent vector
-  outside it is visited, so the cost is linear in the output.
+  below for :func:`monomial_support`, the last three coordinates in one
+  comprehension (e_(n-2) over its range, e_(n-1) from its closed-form
+  least value up to the rest of the degree, e_n what is left); no
+  exponent vector outside it is visited, so the cost is linear in the
+  output.
 * The exponent range.  With e_i = k fixed, the heaviest monomial puts
   the other h - k on D, the largest twist other than d_i, so k occurs
   in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
@@ -37,8 +39,15 @@ Conventions, fixed once for the whole package:
   (h - k, f + k*d1) on F(d2, ..., dn) is in that regime, so its count
   is a polynomial p of degree n - 1 in k, summed over N values from a
   by forward differences, sum_i Delta^i p(a) * C(N, i+1); only the band
-  below k_t recurses.  With 1 in place of e . d + f + 1 the same split
-  counts the support (:func:`support_size`).
+  below k_t recurses, and only down to rank 3.  At rank 2 the exponent
+  range is the support and the weights form one arithmetic series.  At
+  rank 3 the rest of each k in the band lacks its x_2-exponents below
+  j0(k) = ceil((-f - h*d3 - k*(d1 - d3)) / (d2 - d3)), so the count is
+  the Riemann-Roch sum over the whole range minus a deficit that is a
+  polynomial in k and j0(k); with k = k_t - 1 - x, j0 is the floor of a
+  linear function of x, and the band sums of j0, x*j0 and j0^2 are
+  Euclid-style floor sums in O(log) steps.  With 1 in place of
+  e . d + f + 1 the same split counts the support (:func:`support_size`).
 
 Negative twists are allowed (they occur for the degree-4 family at
 m = 3); every formula here holds verbatim for them.  Only
@@ -162,8 +171,8 @@ def _exponent_range(d: tuple, h: int, f: int, i: int):
 def _fill(out: set, prefix: tuple, d: tuple, h: int, f: int) -> None:
     """Add prefix + e to ``out`` for each e in the support of ``|(h, f)|`` on F(d), d non-increasing, len(d) >= 2.
 
-    Depth first, one x_1-exponent range per level; the last two exponents
-    are k over the range and h - k.  Nothing when h < 0.
+    Depth first, one x_1-exponent range per level, down to the last three
+    exponents (module docstring).  Nothing when h < 0.
     """
     span = _exponent_range(d, h, f, 1)
     if span is None:
@@ -172,9 +181,56 @@ def _fill(out: set, prefix: tuple, d: tuple, h: int, f: int) -> None:
     if len(d) == 2:
         out.update([prefix + (k, h - k) for k in range(lo, hi + 1)])
         return
+    if len(d) == 3:
+        d1, d2, d3 = d
+        # k = e_(n-1) runs from its least value in the support of (r, f + j*d1) on F(d2, d3)
+        # up to r; a tie d2 = d3 leaves every k (the range made the rest non-empty)
+        out.update([
+            prefix + (j, k, r - k)
+            for j in range(lo, hi + 1)
+            for r in (h - j,)
+            for k in range(max(0, -((f + j * d1 + r * d3) // (d2 - d3))) if d2 > d3 else 0, r + 1)
+        ])
+        return
     d1, rest = d[0], d[1:]
     for k in range(lo, hi + 1):
         _fill(out, prefix + (k,), rest, h - k, f + k * d1)
+
+
+def _floor_sums(n: int, a: int, b: int, c: int) -> tuple:
+    """(sum q, sum x*q, sum q*q) over x = 0..n-1 for q = (a*x + b) // c; a, b >= 0 and c > 0.
+
+    Euclid-style, ``floor_sum`` of the AtCoder Library extended to the
+    sums of x*q and q*q: reduce a and b mod c, then count the lattice
+    points under the line the other way round, with the roles of a and c
+    swapped; O(log) steps.
+    """
+    if n <= 0:
+        return 0, 0, 0
+    s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+    qa, a = divmod(a, c)
+    qb, b = divmod(b, c)
+    m = (a * (n - 1) + b) // c
+    if m == 0:
+        f = g = h = 0
+    else:
+        # q > i exactly for x > t(i) = (c*i + c - b - 1) // a, i = 0..m-1
+        ft, gt, ht = _floor_sums(m, c, c - b - 1, a)
+        f = (n - 1) * m - ft
+        g = (m * n * (n - 1) - ht - ft) // 2
+        h = (n - 1) * m * m - 2 * gt - ft
+    return (
+        f + qa * s1 + qb * n,
+        g + qa * s2 + qb * s1,
+        h + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * g + 2 * qb * f,
+    )
+
+
+def _chi(d: tuple, h: int, f: int, weighted: bool) -> int:
+    """Riemann-Roch: every monomial of degree h >= 0 on F(d) counted with e . d + f + 1 (weighted) or 1."""
+    n = len(d)
+    size = comb(h + n - 1, n - 1)
+    return size * (f + 1) + sum(d) * comb(h + n - 1, n) if weighted else size
 
 
 def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
@@ -186,28 +242,50 @@ def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
         return 0
     n, dn = len(d), d[-1]
     if f + h * dn >= 0:
-        size = comb(h + n - 1, n - 1)
-        return size * (f + 1) + sum(d) * comb(h + n - 1, n) if weighted else size
-    span = None if n == 1 else _exponent_range(d, h, f, 1)
+        return _chi(d, h, f, weighted)
+    span = _exponent_range(d, h, f, 1)
     if span is None:
         return 0
     lo, hi = span
     d1, rest = d[0], d[1:]
+    if n == 2:
+        # the range is the support; the weight k*(d1 - d2) + h*d2 + f + 1 is an arithmetic series
+        size = hi + 1 - lo
+        return ((lo + hi) * (d1 - dn) + 2 * (h * dn + f + 1)) * size // 2 if weighted else size
     # d1 > dn here (equal twists give an empty or a Riemann-Roch system)
     k_t = max(lo, -((f + h * dn) // (d1 - dn)))
-    # from k = k_t on, the count of the rest is a polynomial of degree < n in k:
-    # sum it by forward differences, or directly when it has at most n terms
-    tail = hi + 1 - k_t
-    total = 0
-    for k in range(lo, hi + 1 if tail <= n else k_t):
-        total += _count(rest, h - k, f + k * d1, weighted)
+    if n == 3:
+        # sum chi of the rest from lo on and subtract its deficit over the band (module docstring)
+        start, total = lo, (-_band_deficit(d, h, f, lo, k_t, weighted) if k_t > lo else 0)
+    else:
+        start, total = k_t, sum(_count(rest, h - k, f + k * d1, weighted) for k in range(lo, k_t))
+    # from `start` on, chi of the rest is a polynomial of degree < n in k: sum it
+    # directly when it has at most n terms, otherwise by forward differences
+    tail = hi + 1 - start
+    values = [_chi(rest, h - k, f + k * d1, weighted) for k in range(start, start + min(tail, n))]
     if tail <= n:
-        return total
-    values = [_count(rest, h - k, f + k * d1, weighted) for k in range(k_t, k_t + n)]
+        return total + sum(values)
     for i in range(n):
         total += values[0] * comb(tail, i + 1)
         values = [b - a for a, b in zip(values, values[1:])]
     return total
+
+
+def _band_deficit(d: tuple, h: int, f: int, lo: int, k_t: int, weighted: bool) -> int:
+    """Chi minus count of the rest (h - k, f + k*d1) on F(d2, d3), summed over the band lo <= k < k_t.
+
+    In the band the rest misses exactly its x_2-exponents j < j0(k) =
+    ceil(P(k) / (d2 - d3)), P(k) = -f - h*d3 - k*(d1 - d3) >= 1, and the
+    missed monomials weigh j*(d2 - d3) + 1 - P(k): the deficit is j0 or
+    j0*(1 - P) + (d2 - d3)*j0*(j0 - 1)/2.  With x = k_t - 1 - k, j0 is
+    the floor of a linear function of x, so the band sum takes three floor
+    sums.  Needs lo < k_t, so d2 > d3: a tie d2 = d3 makes the band empty.
+    """
+    d1, d2, d3 = d
+    a, e = d1 - d3, d2 - d3
+    p = -f - h * d3 - (k_t - 1) * a
+    sy, sxy, syy = _floor_sums(k_t - lo, a, p + e - 1, e)
+    return (1 - p) * sy - a * sxy + e * (syy - sy) // 2 if weighted else sy
 
 
 def h0(s: Scroll, c: DivisorClass) -> int:
@@ -217,8 +295,10 @@ def h0(s: Scroll, c: DivisorClass) -> int:
     the band split: the Riemann-Roch closed form when c.f + c.h*dn >= 0;
     otherwise a recursion over the x_1-exponents below k_t and, above it,
     a forward-difference sum of the rest's count, a polynomial of degree
-    n - 1 in the exponent.  The cost follows the width of the band, not
-    the number of monomials.  Returns 0 for negative fiberwise degree.
+    n - 1 in the exponent.  The recursion stops at rank 3, where the band
+    is summed by floor sums, so up to rank 3 the cost is logarithmic in
+    the numbers; from rank 4 on it follows the width of the band, not the
+    number of monomials.  Returns 0 for negative fiberwise degree.
     """
     return _count(s.twists, c.h, c.f, True)
 
@@ -232,10 +312,10 @@ def monomial_support(s: Scroll, c: DivisorClass) -> set:
     """Exponent vectors e, |e| = c.h, whose coefficient space is non-zero.
 
     The support of the generic member of ``|c|``, filled depth first from
-    the exponent range one coordinate at a time, the last two in closed
-    form (e_(n-1) over its range, e_n the rest of the degree); no
-    exponent vector outside it is visited, so the cost is linear in the
-    size of the output.
+    the exponent range one coordinate at a time, the last three in one
+    comprehension (e_(n-2) over its range, e_(n-1) from its closed-form
+    least value, e_n the rest of the degree); no exponent vector outside
+    it is visited, so the cost is linear in the size of the output.
     """
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")

@@ -40,6 +40,19 @@ def test_scroll_h0_negative_degree_class(capsys):
     assert code == 0 and out == "0\n"
 
 
+def test_negative_first_entry_needs_the_equals_form(capsys):
+    # argparse reads "-1,3" after a space as an option; the help says to write --class=-1,3
+    code, out, err = run(capsys, "scroll", "h0", "--d", "5,1,0", "--class", "-1,3")
+    assert code == 2 and out == "" and "expected one argument" in err
+    code, out, _ = run(capsys, "scroll", "support", "--d", "5,1,0", "--class=-1,3")
+    assert code == 3 and out == ""
+    code, out, _ = run(capsys, "scroll", "intersect", "--d", "5,1,0", "--class=-1,3",
+                       "--classes", "1,0;1,0")
+    assert code == 0 and out == "-3\n"
+    code, out, _ = run(capsys, "scroll", "h0", "--help")
+    assert code == 0 and "--class=-1,3" in " ".join(out.split())
+
+
 def test_scroll_intersect(capsys):
     code, out, _ = run(
         capsys, "scroll", "intersect", "--d", "5,1,0", "--classes", "1,0;1,0;1,0"
@@ -57,6 +70,17 @@ def test_surface_split(capsys):
     code, out, _ = run(capsys, "surface", "split", "--e", "4", "--class", "4,12")
     assert code == 0
     assert out.splitlines() == ["multiplicity 1", "residual 3,12"]
+
+
+def test_scroll_h0_huge_rank_three_class_in_a_fresh_process():
+    # a band of 1.5 * 10**8 exponents, summed by floor sums: logarithmic in the numbers
+    env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
+    argv = ["scroll", "h0", "--d", "5,1,0", "--class", "1000000000,-2000000000"]
+    proc = subprocess.run([sys.executable, "-m", "fanobase.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    expected = fanobase.h0(fanobase.Scroll(5, 1, 0), fanobase.DivisorClass(10**9, -2 * 10**9))
+    assert proc.stdout == f"{expected}\n"
 
 
 def test_large_degree_answers_promptly(capsys):
@@ -120,6 +144,12 @@ def test_wps_infer_polynomial_ring(capsys):
     code, out, _ = run(capsys, "wps", "infer", "--series", "1,1,1,1")
     assert code == 0
     assert out.splitlines() == ["generators 1", "relations (none)"]
+
+
+def test_wps_infer_without_generators(capsys):
+    code, out, _ = run(capsys, "wps", "infer", "--series", "1,0")
+    assert code == 0
+    assert out.splitlines() == ["generators (none)", "relations (none)"]
 
 
 def test_wps_infer_refuses_a_huge_model(capsys):

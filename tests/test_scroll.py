@@ -7,7 +7,10 @@ exponent range per coordinate, and counts sections by the band split
 without generating it, so the routes share no code.  Serre duality on
 the line (h0 = chi + h1) and a count of exponent vectors by weight are
 further routes for h0, the latter fast enough for classes with about
-10**8 exponent vectors.
+10**8 exponent vectors.  The band walk, the band split as it stood
+before ranks 2 and 3 were summed in closed form, checks the floor-sum
+route on bands of about 10**4 exponents, and direct sums check the
+floor-sum helper itself.
 """
 
 import random
@@ -52,7 +55,7 @@ from fanobase import (
     restrict_to_subscroll,
     rr_chi,
 )
-from fanobase.scroll import support_size
+from fanobase.scroll import _floor_sums, support_size
 
 C = DivisorClass
 
@@ -127,6 +130,36 @@ def sigma_basis_h0(d1, d2, h, f):
     e = d1 - d2
     b = h * d1 + f
     return sum(max(0, b - i * e + 1) for i in range(h + 1))
+
+
+def band_walk_count(d, h, f, weighted):
+    """Fourth route: the band split that walks every band one x_1-exponent at a time, down to rank 1."""
+    if h < 0:
+        return 0
+    n, dn = len(d), d[-1]
+    if f + h * dn >= 0:
+        size = comb(h + n - 1, n - 1)
+        return size * (f + 1) + sum(d) * comb(h + n - 1, n) if weighted else size
+    if n == 1:
+        return 0
+    d1, rest = d[0], d[1:]
+    # x_1-exponents of the support: k*d1 + (h - k)*d2 + f >= 0, so lo..h
+    g0, slope = h * d[1] + f, d1 - d[1]
+    lo = max(0, -(g0 // slope)) if slope else (0 if g0 >= 0 else h + 1)
+    if lo > h:
+        return 0
+    k_t = max(lo, -((f + h * dn) // (d1 - dn)))
+    tail = h + 1 - k_t
+    total = 0
+    for k in range(lo, h + 1 if tail <= n else k_t):
+        total += band_walk_count(rest, h - k, f + k * d1, weighted)
+    if tail <= n:
+        return total
+    values = [band_walk_count(rest, h - k, f + k * d1, weighted) for k in range(k_t, k_t + n)]
+    for i in range(n):
+        total += values[0] * comb(tail, i + 1)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return total
 
 
 # ---------------------------------------------------------------- basics
@@ -303,6 +336,71 @@ def test_support_matches_oracle_at_higher_rank():
         empty += not support
         degree_zero += h == 0
     assert ties >= 15 and empty >= 10 and degree_zero >= 10
+
+
+def test_support_matches_oracle_with_a_middle_tie():
+    # ranks 3 and 4 with d_(n-2) = d_(n-1): the comprehension's level and the one above it tie
+    rng = random.Random(20261106)
+    nonempty = 0
+    for _ in range(300):
+        n = rng.randint(3, 4)
+        d = sorted((rng.randint(-4, 9) for _ in range(n)), reverse=True)
+        d[-3] = d[-2]
+        s, h, f = Scroll(d), rng.randint(0, 12 - 2 * n), rng.randint(-40, 15)
+        support = monomial_support(s, C(h, f))
+        assert support == oracle_support(s.twists, h, f), (s, h, f)
+        nonempty += len(support) > 1
+    assert nonempty >= 100
+
+
+def test_floor_sums_match_direct_sums():
+    def direct(n, a, b, c):
+        q = [(a * x + b) // c for x in range(n)]
+        return sum(q), sum(x * v for x, v in enumerate(q)), sum(v * v for v in q)
+
+    # a = 0, a >= c, b >= c and n = 0 included
+    for args in product(range(12), range(10), range(12), range(1, 8)):
+        assert _floor_sums(*args) == direct(*args), args
+    rng = random.Random(20261107)
+    for _ in range(200):
+        args = rng.randint(0, 3000), rng.randint(0, 10**7), rng.randint(0, 10**7), rng.randint(1, 10**6)
+        assert _floor_sums(*args) == direct(*args), args
+
+
+def test_band_split_matches_band_walk():
+    # rank 3 with bands up to about 10**4 exponents, rank 4 with smaller ones;
+    # ties d1 = d2 and d2 = d3 and negative twists included
+    rng = random.Random(20261108)
+    ties = {0: 0, 1: 0}
+    wide = 0
+    for n, cases, top in ((3, 60, 20000), (4, 40, 150)):
+        for _ in range(cases):
+            d = sorted((rng.randint(-3, 9) for _ in range(n)), reverse=True)
+            tie = rng.randrange(3)
+            if tie < 2:
+                d[tie + 1] = d[tie]
+                ties[tie] += 1
+            h = int(top ** rng.random())
+            # between the largest and the smallest weight per monomial, so the band is rarely empty
+            f = -h * rng.randint(d[-1], d[0]) - rng.randint(0, 3)
+            s = Scroll(d)
+            assert h0(s, C(h, f)) == band_walk_count(s.twists, h, f, True), (s, h, f)
+            assert support_size(s, C(h, f)) == band_walk_count(s.twists, h, f, False), (s, h, f)
+            if n == 3 and d[0] > d[2] and f + h * d[0] >= 0:
+                # the band is lo <= k < k_t (module docstring of fanobase.scroll)
+                lo = max(0, -((h * d[1] + f) // (d[0] - d[1]))) if d[0] > d[1] else 0
+                wide += -((f + h * d[2]) // (d[0] - d[2])) - lo >= 4000
+    assert ties[0] >= 20 and ties[1] >= 20 and wide >= 3
+
+
+def test_weighted_and_unweighted_counts_agree_at_huge_classes():
+    # h0(h, f) - h0(h, f - 1) counts the support of (h, f): one less section per monomial
+    s = Scroll(5, 1, 0)
+    for h in (10**9, 10**12):
+        c = C(h, -2 * h)
+        size = support_size(s, c)
+        assert 0 < size < comb(h + 2, 2)
+        assert h0(s, c) - h0(s, c - C(0, 1)) == size
 
 
 def test_large_classes_answer_promptly():

@@ -183,7 +183,8 @@ def _cold_import(statement: str) -> set:
 def test_cli_import_loads_no_dataclasses():
     assert not {"dataclasses", "inspect"} & _cold_import("import fanobase.cli")
     # a bare import resolves every submodule on first use
-    loaded = _cold_import("import fanobase; fanobase.scroll.h0; fanobase.cli.main")
+    loaded = _cold_import("import fanobase; fanobase.scroll.h0; fanobase.cli.main; "
+                          + "; ".join(f"fanobase.{name}" for name in SUBMODULES))
     assert {f"fanobase.{name}" for name in SUBMODULES} <= loaded
     # one kernel module costs that module's import and nothing more
     stdlib = {"json", "argparse", "fractions", "decimal"}
@@ -192,3 +193,15 @@ def test_cli_import_loads_no_dataclasses():
         assert {m for m in loaded if m.startswith("fanobase")} == {
             "fanobase", "fanobase.errors", f"fanobase.{module}"}
         assert not stdlib & loaded
+    # a CLI process loads only its subcommand's modules
+    heavy = {"fanobase.classify", "fanobase.cover", "fanobase.report", "json", "fractions", "decimal"}
+    for argv in (
+        ["scroll", "h0", "--d", "5,1,0", "--class", "4,-8"],
+        ["surface", "split", "--e", "4", "--class", "4,12"],
+        ["k3", "chain", "--m", "5"],
+        ["wps", "hilbert", "--weights", "1,1,1,2,3", "--degrees", "6", "--max", "6"],
+        ["wps", "infer", "--series", "1,3,7,14,25,41,63"],
+        ["blowup", "degree", "--ambient", "8", "--curve", "2", "--genus", "1"],
+    ):
+        loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
+        assert not heavy & loaded, (argv, heavy & loaded)
