@@ -22,11 +22,13 @@ class NormalBundle(Value):
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
-        require_integers("a splitting type", (a, b))
+        if type(a) is not int or type(b) is not int:
+            require_integers("a splitting type", (a, b))
         if a < b:
             raise FanobaseError(f"splitting type needs a >= b, got ({a}, {b})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        set_a, set_b = self._set
+        set_a(self, a)
+        set_b(self, b)
 
     @property
     def m(self) -> int:
@@ -40,12 +42,14 @@ class BlowupStep(Value):
     __slots__ = ("ambient_degree", "curve_degree", "genus")
 
     def __init__(self, ambient_degree: int, curve_degree: int, genus: int):
-        require_integers("a blowup step", (ambient_degree, curve_degree, genus))
+        if type(ambient_degree) is not int or type(curve_degree) is not int or type(genus) is not int:
+            require_integers("a blowup step", (ambient_degree, curve_degree, genus))
         if genus < 0:
             raise FanobaseError(f"curve genus must be non-negative, got {genus}")
-        object.__setattr__(self, "ambient_degree", ambient_degree)
-        object.__setattr__(self, "curve_degree", curve_degree)
-        object.__setattr__(self, "genus", genus)
+        set_ambient, set_curve, set_genus = self._set
+        set_ambient(self, ambient_degree)
+        set_curve(self, curve_degree)
+        set_genus(self, genus)
 
 
 def blowup_degree(step: BlowupStep) -> int:

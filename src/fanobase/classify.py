@@ -45,8 +45,9 @@ class CaseVerdict(Value):
     __slots__ = ("kind", "reason")
 
     def __init__(self, kind: PruneKind, reason: str = ""):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "reason", reason)
+        set_kind, set_reason = self._set
+        set_kind(self, kind)
+        set_reason(self, reason)
 
 
 class CheckResult(Value):
@@ -55,10 +56,11 @@ class CheckResult(Value):
     __slots__ = ("name", "expected", "got", "rule")
 
     def __init__(self, name: str, expected, got, rule: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "got", got)
-        object.__setattr__(self, "rule", rule)
+        set_name, set_expected, set_got, set_rule = self._set
+        set_name(self, name)
+        set_expected(self, expected)
+        set_got(self, got)
+        set_rule(self, rule)
 
     @property
     def passed(self) -> bool:
@@ -72,15 +74,17 @@ class ClassificationCase(Value):
 
     def __init__(self, label: str, m: int, nb: NormalBundle | None, w: str, degree: int,
                  bs_dim: int, construction: str, assumes: tuple = (), notes: str = ""):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "nb", nb)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "bs_dim", bs_dim)
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "assumes", assumes)
-        object.__setattr__(self, "notes", notes)
+        (set_label, set_m, set_nb, set_w, set_degree, set_bs_dim, set_construction, set_assumes,
+         set_notes) = self._set
+        set_label(self, label)
+        set_m(self, m)
+        set_nb(self, nb)
+        set_w(self, w)
+        set_degree(self, degree)
+        set_bs_dim(self, bs_dim)
+        set_construction(self, construction)
+        set_assumes(self, assumes)
+        set_notes(self, notes)
 
 
 def prune(a: int, b: int) -> CaseVerdict:
@@ -320,9 +324,9 @@ def _checks_cone(case: ClassificationCase) -> list:
     on_sigma4 = from_scroll(sub, restricted)
     mu, residual = hirzebruch.forced_minimal_decomposition(on_sigma4)
 
-    # elliptic pencil chain on the elephant
-    _, taut_restricted = restrict_to_subscroll(base, (1, keep_second), DivisorClass(1, 0))
-    taut_on_sigma4 = from_scroll(sub, taut_restricted)
+    # elliptic pencil chain on the elephant; O(1) restricts to O(1) on the same sub-scroll
+    taut = DivisorClass(1, 0)
+    taut_on_sigma4 = from_scroll(sub, taut)
     pulled = k3pencil.cover_pullback(taut_on_sigma4)
     reduced = k3pencil.blowup_section_reduce(pulled)
 
@@ -377,7 +381,7 @@ def _checks_cone(case: ClassificationCase) -> list:
         CheckResult(
             "residual meets fixed part trivially",
             0,
-            intersect(base, [report.residual_class, report.b_class, DivisorClass(1, 0)]),
+            intersect(base, [report.residual_class, report.b_class, taut]),
             "R.B.Sigma = 0",
         ),
         CheckResult("elephant pullback", (2, m), (pulled.gamma, pulled.ell)),

@@ -48,9 +48,10 @@ class DoubleCoverSpec(Value):
     __slots__ = ("base", "branch", "half")
 
     def __init__(self, base: Scroll, branch: DivisorClass, half: DivisorClass):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "half", half)
+        set_base, set_branch, set_half = self._set
+        set_base(self, base)
+        set_branch(self, branch)
+        set_half(self, half)
 
 
 class BranchReport(Value):
@@ -67,13 +68,14 @@ class BranchReport(Value):
 
     def __init__(self, m: int, base: Scroll, b_class: DivisorClass, b_mult: int,
                  residual_class: DivisorClass, fiber_mult, verdict: Verdict):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "b_class", b_class)
-        object.__setattr__(self, "b_mult", b_mult)
-        object.__setattr__(self, "residual_class", residual_class)
-        object.__setattr__(self, "fiber_mult", fiber_mult)
-        object.__setattr__(self, "verdict", verdict)
+        set_m, set_base, set_b_class, set_b_mult, set_residual, set_fiber_mult, set_verdict = self._set
+        set_m(self, m)
+        set_base(self, base)
+        set_b_class(self, b_class)
+        set_b_mult(self, b_mult)
+        set_residual(self, residual_class)
+        set_fiber_mult(self, fiber_mult)
+        set_verdict(self, verdict)
 
     def to_dict(self) -> dict:
         """The one output record: CLI text and JSON render it; ``branch`` is D = R + B."""

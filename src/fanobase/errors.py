@@ -13,8 +13,11 @@ class Value:
     """Immutable value whose fields are its ``__slots__``.
 
     A subclass declares ``__slots__`` and an ``__init__`` that validates
-    its arguments and stores each field with ``object.__setattr__``.  It
-    gets equality by class and fields, a hash by fields, the repr
+    its arguments, unpacks ``self._set`` and stores each field with one
+    call: ``_set`` holds the setters of the slot descriptors in
+    ``__slots__`` order, bound once per class, so a store skips the
+    attribute lookup of ``object.__setattr__``.  A subclass gets equality
+    by class and fields, a hash by fields, the repr
     ``Name(field=value, ...)``, pickling and copying through its
     constructor, and refuses assignment and deletion.
     """
@@ -24,6 +27,7 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls.__slots__)
+        cls._set = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -55,7 +59,7 @@ class FanobaseError(ValueError):
 def require_integers(owner: str, values) -> None:
     """Raise FanobaseError unless every field value of ``owner`` is an int and not a bool."""
     for v in values:
-        # exact ints pass on the first test: every value type is checked on construction
+        # exact ints pass on the first test
         if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise FanobaseError(f"{owner} needs integers, got {tuple(values)!r}")
 
@@ -68,6 +72,10 @@ class NegativeDegree(FanobaseError):
 
 class ArityMismatch(FanobaseError):
     """An intersection product received a number of classes different from the dimension."""
+
+
+class BandTooWide(FanobaseError):
+    """A count at rank >= 4 would walk more band exponents than its work budget."""
 
 
 class NotRigid(FanobaseError):

@@ -29,12 +29,14 @@ class SurfaceClass(Value):
     __slots__ = ("e", "xi", "fib")
 
     def __init__(self, e: int, xi: int, fib: int):
-        require_integers("a surface class", (e, xi, fib))
+        if type(e) is not int or type(xi) is not int or type(fib) is not int:
+            require_integers("a surface class", (e, xi, fib))
         if e < 0:
             raise FanobaseError(f"surface index must be non-negative, got {e}")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "fib", fib)
+        set_e, set_xi, set_fib = self._set
+        set_e(self, e)
+        set_xi(self, xi)
+        set_fib(self, fib)
 
     def _same_surface(self, other):
         if self.e != other.e:

@@ -23,9 +23,11 @@ class PencilClass(Value):
     __slots__ = ("gamma", "ell")
 
     def __init__(self, gamma: int, ell: int):
-        require_integers("a pencil class", (gamma, ell))
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "ell", ell)
+        if type(gamma) is not int or type(ell) is not int:
+            require_integers("a pencil class", (gamma, ell))
+        set_gamma, set_ell = self._set
+        set_gamma(self, gamma)
+        set_ell(self, ell)
 
     def __add__(self, other):
         return PencilClass(self.gamma + other.gamma, self.ell + other.ell)

@@ -25,8 +25,9 @@ class Report(Value):
     __slots__ = ("version", "checks")
 
     def __init__(self, version: str, checks: tuple):
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "checks", checks)
+        set_version, set_checks = self._set
+        set_version(self, version)
+        set_checks(self, checks)
 
     @property
     def summary(self) -> dict:

@@ -47,8 +47,9 @@ class WeightedCI(Value):
             raise FanobaseError(f"relation degrees must be integers >= 2, got {rels!r}")
         if len(rels) >= len(weights):
             raise FanobaseError("need fewer relations than weights (positive dimension)")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rel_degrees", rels)
+        set_weights, set_rels = self._set
+        set_weights(self, weights)
+        set_rels(self, rels)
 
     @property
     def dimension(self) -> int:

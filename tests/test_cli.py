@@ -83,6 +83,20 @@ def test_scroll_h0_huge_rank_three_class_in_a_fresh_process():
     assert proc.stdout == f"{expected}\n"
 
 
+@pytest.mark.parametrize("op", ["h0", "support"])
+def test_wide_rank_four_walk_is_refused_in_a_fresh_process(op):
+    # a band of 400 000 exponents at rank 4: refused before the walk, from process start
+    env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
+    argv = ["scroll", op, "--d", "5,3,1,0", "--class", "1000000,-2000000"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fanobase.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "400000 rank-3 closed forms" in proc.stderr
+    assert elapsed < 1, elapsed
+
+
 def test_large_degree_answers_promptly(capsys):
     # an empty system with about 5 * 10**11 exponent vectors, and 10**9 forced copies
     code, out, _ = run(capsys, "scroll", "h0", "--d", "5,1,0", "--class", "1000000,-6000000")

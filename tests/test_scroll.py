@@ -10,7 +10,8 @@ further routes for h0, the latter fast enough for classes with about
 10**8 exponent vectors.  The band walk, the band split as it stood
 before ranks 2 and 3 were summed in closed form, checks the floor-sum
 route on bands of about 10**4 exponents, and direct sums check the
-floor-sum helper itself.
+floor-sum helper itself.  The full expansion of the intersection
+product, one term per class, checks its one-pass recurrence.
 """
 
 import random
@@ -55,7 +56,9 @@ from fanobase import (
     restrict_to_subscroll,
     rr_chi,
 )
-from fanobase.scroll import _floor_sums, support_size
+from fanobase import scroll as scroll_module
+from fanobase.errors import BandTooWide
+from fanobase.scroll import WALK_BUDGET, _floor_sums, _walk_bound, support_size
 
 C = DivisorClass
 
@@ -160,6 +163,21 @@ def band_walk_count(d, h, f, weighted):
         total += values[0] * comb(tail, i + 1)
         values = [b - a for a, b in zip(values, values[1:])]
     return total
+
+
+def expanded_intersect(s, classes):
+    """Second route for intersect: delta * prod(h_i) + sum_i f_i * prod_{j != i} h_j, term by term."""
+    prod_h = 1
+    for c in classes:
+        prod_h *= c.h
+    mixed = 0
+    for i, c in enumerate(classes):
+        term = c.f
+        for j, other in enumerate(classes):
+            if j != i:
+                term *= other.h
+        mixed += term
+    return s.delta() * prod_h + mixed
 
 
 # ---------------------------------------------------------------- basics
@@ -412,6 +430,54 @@ def test_large_classes_answer_promptly():
     assert h0(s, C(100, -150)) == weight_count_h0(s.twists, 100, -150)
 
 
+def test_walk_bound_covers_the_walk(monkeypatch):
+    # count the rank-3 closed forms a rank 4-6 count evaluates; the bound checked
+    # before the walk is never below it, and the count still matches the band walk
+    rng = random.Random(20261119)
+    calls = []
+    count = scroll_module._count
+
+    def counting(d, h, f, weighted):
+        if len(d) == 4 and h >= 0 and f + h * d[-1] < 0:
+            span = scroll_module._exponent_range(d, h, f, 1)
+            if span is not None:
+                k_t = max(span[0], -((f + h * d[-1]) // (d[0] - d[-1])))
+                calls.append(k_t - span[0])
+        return count(d, h, f, weighted)
+
+    monkeypatch.setattr(scroll_module, "_count", counting)
+    walked = 0
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        d = sorted((rng.randint(-2, 9) for _ in range(n)), reverse=True)
+        h = rng.randint(0, 14 if n < 6 else 8)
+        f = -h * rng.randint(d[-1], d[0]) - rng.randint(0, 3)
+        calls.clear()
+        assert h0(Scroll(d), C(h, f)) == band_walk_count(tuple(d), h, f, True), (d, h, f)
+        span = scroll_module._exponent_range(tuple(d), h, f, 1)
+        if calls and span is not None:
+            lo = span[0]
+            k_t = max(lo, -((f + h * d[-1]) // (d[0] - d[-1])))
+            assert sum(calls) <= _walk_bound(tuple(d), h, f, lo, k_t), (d, h, f)
+            walked += sum(calls) > 0
+    assert walked >= 20
+
+
+def test_wide_rank_four_walk_is_refused():
+    # a band of 400 000 exponents at rank 4: refused before the walk, for h0 and the support size
+    s, c = Scroll(5, 3, 1, 0), C(10**6, -2 * 10**6)
+    for count in (h0, support_size):
+        with pytest.raises(BandTooWide):
+            count(s, c)
+    # wide walks inside the benchmark's ladder envelope (ranks 4-6, h <= 40, twists -2..12) answer
+    for d, f in (((4, 3, 1, 0), -120), ((12, 11, 10, 9, -2), -440), ((12, 11, 10, 9, 8, -2), -440),
+                 ((12, 11, 10, 9, 8, -2), -400)):
+        lo = scroll_module._exponent_range(d, 40, f, 1)[0]
+        k_t = max(lo, -((f + 40 * d[-1]) // (d[0] - d[-1])))
+        assert 0 < _walk_bound(d, 40, f, lo, k_t) <= 41**3 < WALK_BUDGET
+        assert h0(Scroll(d), C(40, f)) == weight_count_h0(d, 40, f), (d, f)
+
+
 def test_weight_count_route_agrees_with_oracle():
     rng = random.Random(20261104)
     for _ in range(100):
@@ -473,6 +539,19 @@ def test_intersect_examples():
     assert intersect(Scroll(4, 0, 0), [C(3, 0), C(1, -4), C(0, 1)]) == 3
     with pytest.raises(ArityMismatch):
         intersect(Scroll(5, 1, 0), [C(1, 0), C(1, 0)])
+
+
+def test_intersect_matches_full_expansion():
+    # ranks 2-6, negative twists, and classes with h = 0 (which zero most products)
+    rng = random.Random(20261118)
+    zeros = 0
+    for _ in range(400):
+        rank = rng.randint(2, 6)
+        s = Scroll(tuple(rng.randint(-6, 9) for _ in range(rank)))
+        classes = [C(rng.choice((0, rng.randint(-5, 6))), rng.randint(-12, 12)) for _ in range(rank)]
+        zeros += any(c.h == 0 for c in classes)
+        assert intersect(s, classes) == expanded_intersect(s, classes), (s, classes)
+    assert zeros >= 100
 
 
 def test_intersect_permutation_invariance():
