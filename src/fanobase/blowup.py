@@ -64,6 +64,8 @@ def exceptional_surface_index(nb: NormalBundle) -> int:
 
 def cone_case_normal_bundle(m: int) -> NormalBundle:
     """Splitting type (m-2, -2) forced when the anticanonical image is a cone."""
+    if type(m) is not int:
+        require_integers("a cone case", (m,))
     if m < 3:
         raise InvalidM(f"cone case needs m >= 3, got {m}")
     return NormalBundle(m - 2, -2)
@@ -71,7 +73,8 @@ def cone_case_normal_bundle(m: int) -> NormalBundle:
 
 def decomposition_fiber_coeff(a: int) -> int:
     """Fiber coefficient a + 2 in the decomposition of -K after the section blowup."""
-    require_integers("a splitting degree", (a,))
+    if type(a) is not int:
+        require_integers("a splitting degree", (a,))
     return a + 2
 
 

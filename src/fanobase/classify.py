@@ -94,7 +94,8 @@ def prune(a: int, b: int) -> CaseVerdict:
     case (0, -1) and the product case (0, 0); everything else is
     excluded with the arithmetical rule that kills it.
     """
-    require_integers("a splitting type", (a, b))
+    if type(a) is not int or type(b) is not int:
+        require_integers("a splitting type", (a, b))
     if b < -2 or a < b:
         raise OutOfRange(f"need a >= b >= -2, got ({a}, {b})")
     if b == -2:
@@ -182,7 +183,8 @@ def cone_case(m: int) -> ClassificationCase:
     whose verification fails at the branch analysis, which is the
     mechanical reason the family stops.
     """
-    require_integers("a cone case", (m,))
+    if type(m) is not int:
+        require_integers("a cone case", (m,))
     nb = blowup.cone_case_normal_bundle(m)
     return ClassificationCase(
         label=f"ii-c({m})",
@@ -313,8 +315,7 @@ def _checks_product(case: ClassificationCase) -> list:
 def _checks_cone(case: ClassificationCase) -> list:
     m = case.m
     report = cover.analyze_cover(m)
-    base = report.base
-    spec = cover.branch_for_taut_anticanonical(base)
+    base, spec = report.base, report.spec
 
     # hyperplane section isomorphic to Sigma_4: the sub-scroll on the
     # twists m and m - 4 (values, not positions: at m = 3 the second

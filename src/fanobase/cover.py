@@ -62,13 +62,20 @@ class BranchReport(Value):
     (line plus cubic); ``b_mult`` is the multiplicity with which B is
     actually forced into the generic member, which is 1 for m >= 4 and
     0 for m = 3, where the branch can be chosen to avoid B entirely.
+    ``spec`` is the :class:`DoubleCoverSpec` the analysis ran on (base,
+    branch D and half L), so a caller that needs D or the cover degree
+    reads it here instead of building it again; it is last and defaults
+    to None for a report assembled by hand, and :meth:`to_dict` does not
+    read it.
     """
 
-    __slots__ = ("m", "base", "b_class", "b_mult", "residual_class", "fiber_mult", "verdict")
+    __slots__ = ("m", "base", "b_class", "b_mult", "residual_class", "fiber_mult", "verdict", "spec")
 
     def __init__(self, m: int, base: Scroll, b_class: DivisorClass, b_mult: int,
-                 residual_class: DivisorClass, fiber_mult, verdict: Verdict):
-        set_m, set_base, set_b_class, set_b_mult, set_residual, set_fiber_mult, set_verdict = self._set
+                 residual_class: DivisorClass, fiber_mult, verdict: Verdict,
+                 spec: DoubleCoverSpec | None = None):
+        (set_m, set_base, set_b_class, set_b_mult, set_residual, set_fiber_mult, set_verdict,
+         set_spec) = self._set
         set_m(self, m)
         set_base(self, base)
         set_b_class(self, b_class)
@@ -76,6 +83,7 @@ class BranchReport(Value):
         set_residual(self, residual_class)
         set_fiber_mult(self, fiber_mult)
         set_verdict(self, verdict)
+        set_spec(self, spec)
 
     def to_dict(self) -> dict:
         """The one output record: CLI text and JSON render it; ``branch`` is D = R + B."""
@@ -98,10 +106,9 @@ def branch_for_taut_anticanonical(s: Scroll) -> DoubleCoverSpec:
     Solving K_U = mu^*(K_W + L) = mu^*(-O(1)) gives L = -K_W - O(1) =
     (2, 2 - delta) on a rank-3 scroll, hence D = 2L.
     """
-    if s.rank != 3:
+    if len(s.twists) != 3:
         raise WrongRank(f"cover bookkeeping needs a threefold base, got {s!r}")
-    delta = s.delta()
-    half = DivisorClass(2, 2 - delta)
+    half = DivisorClass(2, 2 - sum(s.twists))
     return DoubleCoverSpec(base=s, branch=2 * half, half=half)
 
 
@@ -114,7 +121,8 @@ def cover_degree(spec: DoubleCoverSpec) -> int:
 def analyze_cover(m: int) -> BranchReport:
     """Full branch analysis of the double cover over F(m, m-4, 0).
 
-    Builds the (sorted) base scroll and the branch class, measures how
+    Builds the (sorted) base scroll and the branch class (kept on the
+    report as ``spec``), measures how
     often the unique member B of |O(1) - mF| is forced into the generic
     branch member, computes the multiplicity of the generic branch
     member at the coordinate point of the smallest twist, and issues
@@ -122,7 +130,8 @@ def analyze_cover(m: int) -> BranchReport:
     identity R.B.Sigma = 0, which lets the residual cubic avoid the
     section curve, is asserted along the way.
     """
-    require_integers("the cover family parameter", (m,))
+    if type(m) is not int:
+        require_integers("the cover family parameter", (m,))
     if m < 3:
         raise InvalidM(f"the cover family starts at m = 3, got {m}")
     base = Scroll(m, m - 4, 0)
@@ -143,4 +152,5 @@ def analyze_cover(m: int) -> BranchReport:
         residual_class=residual,
         fiber_mult=fiber_mult,
         verdict=Verdict.PASSES_DU_VAL_NECESSARY if passes else Verdict.FAILS_DU_VAL_NECESSARY,
+        spec=spec,
     )

@@ -74,6 +74,8 @@ def minimal_section(e: int) -> SurfaceClass:
 
 def canonical_surface_class(e: int) -> SurfaceClass:
     """K = -2*(minimal section) - (e+2)*(fiber)."""
+    if type(e) is not int:
+        require_integers("a surface index", (e,))
     return SurfaceClass(e, -2, -(e + 2))
 
 

@@ -61,7 +61,8 @@ def base_locus_dimension(m: int) -> int:
     m = 2 is exactly the case (Gamma + m f).Gamma = 0, where the section
     is contracted and the base locus degenerates to a point.
     """
-    require_integers("a pencil multiplicity", (m,))
+    if type(m) is not int:
+        require_integers("a pencil multiplicity", (m,))
     if m < 2:
         raise InvalidM(f"need m >= 2, got {m}")
     return 0 if m == 2 else 1
@@ -69,6 +70,8 @@ def base_locus_dimension(m: int) -> int:
 
 def fano_degree(m: int) -> int:
     """Anticanonical cube 2m - 2, the square of the normal-form class."""
+    if type(m) is not int:
+        require_integers("a pencil multiplicity", (m,))
     if m < 2:
         raise InvalidM(f"need m >= 2, got {m}")
     degree = 2 * m - 2

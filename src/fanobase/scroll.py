@@ -373,18 +373,21 @@ def intersect(s: Scroll, classes) -> int:
     Both are accumulated in one pass over the classes: after class i,
     ``prod_h`` is h_1 ... h_i and ``mixed`` the sum over j <= i of f_j
     times the other h's up to i, so mixed = mixed*h_i + prod_h*f_i with
-    the product before h_i.  Symmetric and multilinear in its arguments.
+    the product before h_i.  Symmetric and multilinear in its arguments;
+    a list or tuple is read as given, any other iterable copied once.
     """
-    classes = list(classes)
-    if len(classes) != s.rank:
+    if type(classes) is not list and type(classes) is not tuple:
+        classes = list(classes)
+    twists = s.twists
+    if len(classes) != len(twists):
         raise ArityMismatch(
-            f"{s!r} needs exactly {s.rank} classes, got {len(classes)}"
+            f"{s!r} needs exactly {len(twists)} classes, got {len(classes)}"
         )
     prod_h, mixed = 1, 0
     for c in classes:
         mixed = mixed * c.h + prod_h * c.f
         prod_h *= c.h
-    return s.delta() * prod_h + mixed
+    return sum(twists) * prod_h + mixed
 
 
 def canonical_class(s: Scroll) -> DivisorClass:
@@ -402,22 +405,27 @@ def canonical_class(s: Scroll) -> DivisorClass:
 def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClass) -> int:
     """Number of copies of the rigid divisor ``comp`` fixed in ``|sys|``.
 
-    Requires h^0(comp) = 1 (a unique effective member), comp != (0, 0)
-    and h^0(sys) > 0.  Such a class is (k, -k*d1) with k >= 1 and
-    d1 > d2 (a tie, or f > -k*d1, gives h^0 >= 2), so its one section is
-    x_1^k.  Multiplying by x_1^k maps H^0(sys - comp) onto the span of
-    the support monomials with e_1 >= k, so comp is fixed mu times
-    exactly when every support monomial has e_1 >= mu*k: mu is the
-    least x_1-exponent over the support, floor-divided by k.
+    Requires ``comp`` rigid, h^0(comp) = 1 with comp != (0, 0), and
+    ``|sys|`` non-empty.  Rigidity is decided in closed form: a non-empty
+    support of (h, f), h >= 1, holds x_1^h, whose weight h*d1 + f + 1 is
+    the largest, so h^0 = 1 exactly when comp = (k, -k*d1) with k >= 1
+    and d1 > d2 (a tie, or f > -k*d1, gives h^0 >= 2; f < -k*d1 gives 0;
+    h = 0 gives f + 1).  ``h0`` is computed only for the NotRigid
+    message.  The one section of comp is x_1^k, and multiplying by it
+    maps H^0(sys - comp) onto the span of the support monomials with
+    e_1 >= k, so comp is fixed mu times exactly when every support
+    monomial has e_1 >= mu*k: mu is the least x_1-exponent over the
+    support, floor-divided by k.
     """
-    if h0(s, comp) != 1:
+    k, d = comp.h, s.twists
+    if k < 1 or comp.f != -k * d[0] or d[0] == d[1]:
+        if k == 0 and comp.f == 0:
+            raise NotRigid(f"the trivial class {comp} is contained in every system any number of times")
         raise NotRigid(f"component {comp} on {s!r} has h0 = {h0(s, comp)}, need 1")
-    if comp.h == 0 and comp.f == 0:
-        raise NotRigid(f"the trivial class {comp} is contained in every system any number of times")
-    span = _exponent_range(s.twists, sys.h, sys.f, 1)
+    span = _exponent_range(d, sys.h, sys.f, 1)
     if span is None:
         raise EmptySystem(f"system {sys} on {s!r} is empty")
-    return span[0] // comp.h
+    return span[0] // k
 
 
 def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
@@ -428,12 +436,14 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
     is h minus the greatest x_i-exponent over the support, INFINITE
     when the support is empty.  Indices are 1-based, matching x_1 ... x_n.
     """
-    require_integers("a coordinate index", (i,))
-    if not 1 <= i <= s.rank:
-        raise IndexOutOfRange(f"index {i} not in 1..{s.rank}")
+    if type(i) is not int:
+        require_integers("a coordinate index", (i,))
+    d = s.twists
+    if not 1 <= i <= len(d):
+        raise IndexOutOfRange(f"index {i} not in 1..{len(d)}")
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
-    span = _exponent_range(s.twists, c.h, c.f, i)
+    span = _exponent_range(d, c.h, c.f, i)
     return INFINITE if span is None else c.h - span[1]
 
 

@@ -8,9 +8,12 @@ import pytest
 from fanobase import (
     CheckFailure,
     ClassificationCase,
+    DivisorClass,
     NormalBundle,
+    NotRigid,
     OutOfRange,
     PruneKind,
+    Scroll,
     analyze_cover,
     case_checks,
     cone_case,
@@ -19,6 +22,7 @@ from fanobase import (
     prune,
     verify_case,
 )
+from fanobase import cover, scroll
 from fanobase.classify import product_case
 
 
@@ -97,6 +101,32 @@ def test_out_of_family_cone_case_fails_at_branch_analysis():
     # the checks are still individually computable
     results = case_checks(thirteenth)
     assert any(not c.passed for c in results)
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_cone_suite_builds_the_cover_once_and_counts_no_sections(monkeypatch, m):
+    # the suite reads the spec off the branch report, and rigidity of B and
+    # of the minimal section is decided in closed form, not by h0
+    calls = Counter()
+    build, count = cover.branch_for_taut_anticanonical, scroll.h0
+
+    def counting_build(s):
+        calls["branch_for_taut_anticanonical"] += 1
+        return build(s)
+
+    def counting_h0(s, c):
+        calls["h0"] += 1
+        return count(s, c)
+
+    monkeypatch.setattr(cover, "branch_for_taut_anticanonical", counting_build)
+    monkeypatch.setattr(scroll, "h0", counting_h0)
+    checks = case_checks(cone_case(m))
+    assert calls == {"branch_for_taut_anticanonical": 1}
+    assert all(c.passed for c in checks) == (m <= 12)
+    # the counters see the calls they guard: a non-rigid component reports its h0
+    with pytest.raises(NotRigid):
+        scroll.fixed_component_multiplicity(Scroll(4, 0), DivisorClass(1, 0), DivisorClass(4, -4))
+    assert calls["h0"] == 1
 
 
 def test_suite_follows_case_kind_not_label():

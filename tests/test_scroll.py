@@ -15,7 +15,8 @@ product, one term per class, checks its one-pass recurrence.
 """
 
 import random
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -41,8 +42,11 @@ from fanobase import (
     base_locus_dimension,
     blowup_degree,
     canonical_class,
+    canonical_surface_class,
     cone_case,
+    cone_case_normal_bundle,
     decomposition_fiber_coeff,
+    fano_degree,
     fiber_multiplicity_at,
     fixed_component_multiplicity,
     h0,
@@ -250,6 +254,18 @@ def test_value_types_reject_bools_and_non_integers(make, bad):
     ],
 )
 def test_entry_functions_reject_bools_and_non_integers(call, bad):
+    with pytest.raises(FanobaseError):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", ["3", None, 2.5, True])
+@pytest.mark.parametrize(
+    "call",
+    [fano_degree, cone_case_normal_bundle, canonical_surface_class],
+    ids=["fano-degree", "cone-normal-bundle", "canonical-surface-class"],
+)
+def test_scalar_entry_points_raise_domain_errors_not_type_errors(call, bad):
+    # each compared or added its argument before checking it
     with pytest.raises(FanobaseError):
         call(bad)
 
@@ -653,6 +669,31 @@ def test_fixed_component_rejects_trivial_component():
     # (0, 0) has h0 = 1 but subtracting it never drops h0: no finite answer
     with pytest.raises(NotRigid):
         fixed_component_multiplicity(Scroll(4, 0), C(0, 0), C(1, 0))
+
+
+def test_rigidity_closed_form_matches_h0():
+    # second route for the closed-form rigidity test: NotRigid exactly when
+    # h0(comp) != 1 or comp = (0, 0), and the message still reports h0
+    kinds = Counter()
+    for n in (2, 3, 4):
+        for twists in combinations_with_replacement(range(4, -3, -1), n):
+            s = Scroll(twists)
+            d1, d2 = twists[:2]
+            for h in range(-1, 5):
+                for f in range(-h * d1 - 3, -h * d1 + 4):
+                    comp = C(h, f)
+                    count = h0(s, comp)
+                    if count == 1 and (h, f) != (0, 0):
+                        # comp is its own system, fixed exactly once
+                        assert fixed_component_multiplicity(s, comp, comp) == 1, (s, comp)
+                        kinds["rigid"] += 1
+                        continue
+                    with pytest.raises(NotRigid) as info:
+                        fixed_component_multiplicity(s, comp, comp)
+                    if (h, f) != (0, 0):
+                        assert f"has h0 = {count}, need 1" in str(info.value), (s, comp)
+                    kinds["tie" if h >= 1 and f == -h * d1 and d1 == d2 else "not rigid"] += 1
+    assert kinds["rigid"] >= 100 and kinds["tie"] >= 100 and kinds["not rigid"] >= 1000, kinds
 
 
 # ------------------------------------------------------- fiber multiplicity
