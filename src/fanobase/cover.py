@@ -62,11 +62,9 @@ class BranchReport(Value):
     (line plus cubic); ``b_mult`` is the multiplicity with which B is
     actually forced into the generic member, which is 1 for m >= 4 and
     0 for m = 3, where the branch can be chosen to avoid B entirely.
-    ``spec`` is the :class:`DoubleCoverSpec` the analysis ran on (base,
-    branch D and half L), so a caller that needs D or the cover degree
-    reads it here instead of building it again; it is last and defaults
-    to None for a report assembled by hand, and :meth:`to_dict` does not
-    read it.
+    ``spec`` is the :class:`DoubleCoverSpec` (base, D, L) the analysis ran
+    on, for callers that need D or the cover degree; it defaults to None
+    and :meth:`to_dict` does not read it.
     """
 
     __slots__ = ("m", "base", "b_class", "b_mult", "residual_class", "fiber_mult", "verdict", "spec")
@@ -121,14 +119,13 @@ def cover_degree(spec: DoubleCoverSpec) -> int:
 def analyze_cover(m: int) -> BranchReport:
     """Full branch analysis of the double cover over F(m, m-4, 0).
 
-    Builds the (sorted) base scroll and the branch class (kept on the
-    report as ``spec``), measures how
-    often the unique member B of |O(1) - mF| is forced into the generic
-    branch member, computes the multiplicity of the generic branch
-    member at the coordinate point of the smallest twist, and issues
-    the Du Val necessary-condition verdict (multiplicity <= 3).  The
-    identity R.B.Sigma = 0, which lets the residual cubic avoid the
-    section curve, is asserted along the way.
+    Builds the (sorted) base scroll and the branch class, kept on the
+    report as ``spec``; measures how often the unique member B of
+    |O(1) - mF| is forced into the generic branch member, computes the
+    multiplicity of the generic branch member at the coordinate point of
+    the smallest twist, and issues the Du Val necessary-condition
+    verdict (multiplicity <= 3).  The identity R.B.Sigma = 0, which lets
+    the residual cubic avoid the section curve, is asserted along the way.
     """
     if type(m) is not int:
         require_integers("the cover family parameter", (m,))

@@ -377,7 +377,10 @@ def intersect(s: Scroll, classes) -> int:
     a list or tuple is read as given, any other iterable copied once.
     """
     if type(classes) is not list and type(classes) is not tuple:
-        classes = list(classes)
+        try:
+            classes = list(classes)
+        except TypeError:
+            raise FanobaseError(f"divisor classes must be a collection, got {classes!r}") from None
     twists = s.twists
     if len(classes) != len(twists):
         raise ArityMismatch(

@@ -11,7 +11,8 @@ further routes for h0, the latter fast enough for classes with about
 before ranks 2 and 3 were summed in closed form, checks the floor-sum
 route on bands of about 10**4 exponents, and direct sums check the
 floor-sum helper itself.  The full expansion of the intersection
-product, one term per class, checks its one-pass recurrence.
+product, one term per class, checks its one-pass recurrence, and ``h0``
+checks the closed-form rigidity test of the fixed-component count.
 """
 
 import random
@@ -246,26 +247,18 @@ def test_value_types_reject_bools_and_non_integers(make, bad):
         lambda v: base_locus_dimension(v),
         lambda v: decomposition_fiber_coeff(v),
         lambda v: prune(v, 0),
+        lambda v: fano_degree(v),
+        lambda v: cone_case_normal_bundle(v),
+        lambda v: canonical_surface_class(v),
     ],
     ids=[
         "cone-case", "rr-degree", "rr-twist", "product-degree", "blowup-degree", "fiber-index",
         "subscroll-index", "subscroll-keep", "hilbert-degree", "infer-entry", "infer-sequence", "infer-text",
-        "cover-m", "k3-base-locus", "blowup-fiber-coeff", "prune",
+        "cover-m", "k3-base-locus", "blowup-fiber-coeff", "prune", "fano-degree",
+        "cone-normal-bundle", "canonical-surface-class",
     ],
 )
 def test_entry_functions_reject_bools_and_non_integers(call, bad):
-    with pytest.raises(FanobaseError):
-        call(bad)
-
-
-@pytest.mark.parametrize("bad", ["3", None, 2.5, True])
-@pytest.mark.parametrize(
-    "call",
-    [fano_degree, cone_case_normal_bundle, canonical_surface_class],
-    ids=["fano-degree", "cone-normal-bundle", "canonical-surface-class"],
-)
-def test_scalar_entry_points_raise_domain_errors_not_type_errors(call, bad):
-    # each compared or added its argument before checking it
     with pytest.raises(FanobaseError):
         call(bad)
 
@@ -555,6 +548,11 @@ def test_intersect_examples():
     assert intersect(Scroll(4, 0, 0), [C(3, 0), C(1, -4), C(0, 1)]) == 3
     with pytest.raises(ArityMismatch):
         intersect(Scroll(5, 1, 0), [C(1, 0), C(1, 0)])
+    # a tuple and a generator are read like the list
+    s = Scroll(5, 1, 0)
+    assert intersect(s, (C(1, 0),) * 3) == intersect(s, (C(1, 0) for _ in range(3))) == 6
+    with pytest.raises(FanobaseError):
+        intersect(s, 5)
 
 
 def test_intersect_matches_full_expansion():
