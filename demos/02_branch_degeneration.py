@@ -21,9 +21,8 @@ signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 print(f"{'m':>3} {'base':<12} {'branch':<9} {'B forced':>8} {'fiber mult':>10}  verdict")
 for m in range(3, 17):
     r = analyze_cover(m)
-    branch = r.residual_class + r.b_class
     print(
-        f"{m:>3} {r.base!r:<12} {str(branch):<9} {r.b_mult:>8} {r.fiber_mult:>10}  "
+        f"{m:>3} {r.base!r:<12} {str(r.spec.branch):<9} {r.b_mult:>8} {r.fiber_mult:>10}  "
         f"{r.verdict.value}"
     )
 

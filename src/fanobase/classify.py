@@ -183,8 +183,6 @@ def cone_case(m: int) -> ClassificationCase:
     whose verification fails at the branch analysis, which is the
     mechanical reason the family stops.
     """
-    if type(m) is not int:
-        require_integers("a cone case", (m,))
     nb = blowup.cone_case_normal_bundle(m)
     return ClassificationCase(
         label=f"ii-c({m})",
@@ -227,8 +225,8 @@ def _checks_quadric_sextic(case: ClassificationCase) -> list:
     return _rr_checks() + [
         CheckResult(
             "two presentations share one Hilbert series",
-            wps.hilbert_coeffs(full, 12),
-            wps.hilbert_coeffs(minimal, 12),
+            tuple(wps.hilbert_coeffs(full, 12)),
+            tuple(wps.hilbert_coeffs(minimal, 12)),
             "the degree-2 generator cancels against the quadric relation",
         ),
         CheckResult(
@@ -260,7 +258,7 @@ def _checks_quadric_sextic(case: ClassificationCase) -> list:
 def _checks_ruled_sextic(case: ClassificationCase) -> list:
     sextic = WeightedCI((1, 1, 1, 2, 3), (6,))
     degree, integral = wps.anticanonical_degree(sextic)
-    closed_form = [1 + k * (8 + 3 * k + k * k) // 6 for k in range(21)]
+    closed_form = tuple(1 + k * (8 + 3 * k + k * k) // 6 for k in range(21))
     return [
         CheckResult(
             "blowup degree",
@@ -271,7 +269,7 @@ def _checks_ruled_sextic(case: ClassificationCase) -> list:
         CheckResult(
             "sextic Hilbert closed form",
             closed_form,
-            wps.hilbert_coeffs(sextic, 20),
+            tuple(wps.hilbert_coeffs(sextic, 20)),
             "h^0(kH) = 1 + k(8 + 3k + k^2)/6",
         ),
         CheckResult(

@@ -17,7 +17,8 @@ from .scroll import DivisorClass, Scroll, h0, intersect, monomial_support, suppo
 
 # Each _cmd_* imports the other modules it uses, so a process loads only its
 # subcommand's modules: `scroll h0` or `blowup degree` load none of classify,
-# cover, report, json or fractions.  scroll stays here for the argparse types.
+# cover, report, json or fractions, and `cover analyze` loads report and json
+# only for --json.  scroll stays here for the argparse types.
 
 # largest support `scroll support` prints, one line per monomial
 SUPPORT_LIMIT = 10**6
@@ -60,8 +61,10 @@ def _int_pair(text: str) -> tuple:
 
 def _emit(data: dict, as_json: bool, render) -> int:
     """Print ``data`` as JSON or as ``render(data)``; exit 1 if its summary counts failures."""
-    from .report import to_json
-    print(to_json(data) if as_json else render(data))
+    if as_json:
+        from .report import to_json
+        render = to_json
+    print(render(data))
     return 1 if data.get("summary", {}).get("failed") else 0
 
 

@@ -57,38 +57,39 @@ class DoubleCoverSpec(Value):
 class BranchReport(Value):
     """Everything the branch pipeline establishes for one value of m.
 
-    ``residual_class`` is the class complement R = D - B of one copy of
-    the rigid member B, the decomposition the fiber geometry uses
-    (line plus cubic); ``b_mult`` is the multiplicity with which B is
-    actually forced into the generic member, which is 1 for m >= 4 and
-    0 for m = 3, where the branch can be chosen to avoid B entirely.
     ``spec`` is the :class:`DoubleCoverSpec` (base, D, L) the analysis ran
-    on, for callers that need D or the cover degree; it defaults to None
-    and :meth:`to_dict` does not read it.
+    on; the base scroll is read as ``base``.  ``residual_class`` is the
+    class complement R = D - B of one copy of the rigid member B, the
+    decomposition the fiber geometry uses (line plus cubic); ``b_mult`` is
+    the multiplicity with which B is actually forced into the generic
+    member, which is 1 for m >= 4 and 0 for m = 3, where the branch can be
+    chosen to avoid B entirely.
     """
 
-    __slots__ = ("m", "base", "b_class", "b_mult", "residual_class", "fiber_mult", "verdict", "spec")
+    __slots__ = ("m", "spec", "b_class", "b_mult", "residual_class", "fiber_mult", "verdict")
 
-    def __init__(self, m: int, base: Scroll, b_class: DivisorClass, b_mult: int,
-                 residual_class: DivisorClass, fiber_mult, verdict: Verdict,
-                 spec: DoubleCoverSpec | None = None):
-        (set_m, set_base, set_b_class, set_b_mult, set_residual, set_fiber_mult, set_verdict,
-         set_spec) = self._set
+    def __init__(self, m: int, spec: DoubleCoverSpec, b_class: DivisorClass, b_mult: int,
+                 residual_class: DivisorClass, fiber_mult, verdict: Verdict):
+        (set_m, set_spec, set_b_class, set_b_mult, set_residual, set_fiber_mult,
+         set_verdict) = self._set
         set_m(self, m)
-        set_base(self, base)
+        set_spec(self, spec)
         set_b_class(self, b_class)
         set_b_mult(self, b_mult)
         set_residual(self, residual_class)
         set_fiber_mult(self, fiber_mult)
         set_verdict(self, verdict)
-        set_spec(self, spec)
+
+    @property
+    def base(self) -> Scroll:
+        return self.spec.base
 
     def to_dict(self) -> dict:
-        """The one output record: CLI text and JSON render it; ``branch`` is D = R + B."""
-        branch = self.residual_class + self.b_class
+        """The one output record: CLI text and JSON render it."""
+        branch = self.spec.branch
         return {
             "m": self.m,
-            "base": list(self.base.twists),
+            "base": list(self.spec.base.twists),
             "branch": [branch.h, branch.f],
             "b_class": [self.b_class.h, self.b_class.f],
             "b_mult": self.b_mult,
@@ -140,14 +141,13 @@ def analyze_cover(m: int) -> BranchReport:
     # the smallest twist (last after sorting)
     fiber_mult = fiber_multiplicity_at(base, spec.branch, base.rank)
     assert intersect(base, [residual, b, DivisorClass(1, 0)]) == 0
-    passes = fiber_mult != INFINITE and fiber_mult <= 3
+    passes = fiber_mult <= 3  # INFINITE orders above every integer
     return BranchReport(
         m=m,
-        base=base,
+        spec=spec,
         b_class=b,
         b_mult=b_mult,
         residual_class=residual,
         fiber_mult=fiber_mult,
         verdict=Verdict.PASSES_DU_VAL_NECESSARY if passes else Verdict.FAILS_DU_VAL_NECESSARY,
-        spec=spec,
     )

@@ -1,9 +1,9 @@
 """Machine-readable verification reports.
 
-A report is a flat list of check records, each tagged with its case
-label, plus summary counts derived from them.  Serialization is
-deterministic (sorted keys, fixed indentation), so a parsed report
-re-serializes to the identical byte string.
+A report is a hashable value, ``(case label, CheckResult)`` pairs in table
+order; :meth:`Report.to_dict` alone turns them into output records with
+summary counts.  Serialization is deterministic (sorted keys, fixed
+indentation), so a parsed report re-serializes to the identical byte string.
 """
 
 import json
@@ -20,7 +20,8 @@ def to_json(data: dict) -> str:
 
 
 class Report(Value):
-    """Check records ``{case, name, rule, expected, got, pass}`` in table order."""
+    """``(case label, CheckResult)`` pairs in table order; ``to_dict`` gives one
+    ``{case, name, rule, expected, got, pass}`` record per check."""
 
     __slots__ = ("version", "checks")
 
@@ -31,13 +32,23 @@ class Report(Value):
 
     @property
     def summary(self) -> dict:
-        passed = sum(record["pass"] for record in self.checks)
+        passed = sum(check.passed for _, check in self.checks)
         return {"passed": passed, "failed": len(self.checks) - passed}
 
     def to_dict(self) -> dict:
         return {
             "version": self.version,
-            "checks": [dict(record) for record in self.checks],
+            "checks": [
+                {
+                    "case": label,
+                    "name": check.name,
+                    "rule": check.rule,
+                    "expected": _jsonable(check.expected),
+                    "got": _jsonable(check.got),
+                    "pass": check.passed,
+                }
+                for label, check in self.checks
+            ],
             "summary": self.summary,
         }
 
@@ -70,18 +81,5 @@ def build_report(version: str, max_degree: int | None = None) -> Report:
         cases = [case for case in cases if case.degree <= max_degree]
         if not cases:
             raise FanobaseError(f"no case has anticanonical degree <= {max_degree}")
-    return Report(
-        version=version,
-        checks=tuple(
-            {
-                "case": case.label,
-                "name": check.name,
-                "rule": check.rule,
-                "expected": _jsonable(check.expected),
-                "got": _jsonable(check.got),
-                "pass": check.passed,
-            }
-            for case in cases
-            for check in case_checks(case)
-        ),
-    )
+    return Report(version, tuple((case.label, check)
+                                 for case in cases for check in case_checks(case)))

@@ -727,6 +727,13 @@ def test_fiber_multiplicity_empty_support_is_infinite():
     assert not value <= 3
 
 
+def test_infinite_orders_above_every_integer():
+    # analyze_cover compares a multiplicity that may be INFINITE with 3 directly
+    assert 3 < INFINITE
+    assert not INFINITE <= 3
+    assert max(5, INFINITE) is INFINITE
+
+
 def test_branch_multiplicity_bound_reproduces_twelve():
     for m in range(3, 31):
         s = Scroll(m, m - 4, 0)

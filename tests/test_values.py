@@ -2,10 +2,12 @@
 
 Equality by class and fields, a hash by fields, immutability, keyword
 construction and defaults, the ``Name(field=value, ...)`` repr, copying
-and pickling; the lazy package namespace, whose public names are those
-of the eager one and resolve to their home modules' objects; and cold
-imports: ``fanobase.cli`` loads neither ``dataclasses`` nor ``inspect``,
-and ``fanobase.scroll`` or ``fanobase.wps`` loads no other submodule.
+and pickling, also on the reports the pipeline builds; the lazy package
+namespace, whose public names are those of the eager one and resolve to
+their home modules' objects; and cold imports: ``fanobase.cli`` loads
+neither ``dataclasses`` nor ``inspect``, ``fanobase.scroll`` or
+``fanobase.wps`` loads no other submodule, and ``cover analyze`` text
+loads neither the report nor the JSON layer.
 """
 
 import copy
@@ -35,6 +37,10 @@ from fanobase import (
     SurfaceClass,
     Verdict,
     WeightedCI,
+    analyze_cover,
+    build_report,
+    case_checks,
+    enumerate_cases,
 )
 from fanobase.errors import Value
 
@@ -48,13 +54,14 @@ SAMPLES = [
     (BlowupStep, (8, 2, 1)),
     (WeightedCI, ((1, 1, 1, 2, 3), (6,))),
     (DoubleCoverSpec, (Scroll(5, 1, 0), DivisorClass(4, -4), DivisorClass(2, -2))),
-    (BranchReport, (5, Scroll(5, 1, 0), DivisorClass(1, -5), 1, DivisorClass(3, -3), 1,
+    (BranchReport, (5, DoubleCoverSpec(Scroll(5, 1, 0), DivisorClass(4, -8), DivisorClass(2, -4)),
+                    DivisorClass(1, -5), 1, DivisorClass(3, -3), 1,
                     Verdict.PASSES_DU_VAL_NECESSARY)),
     (CaseVerdict, (PruneKind.EXCLUDED, "a reason")),
     (CheckResult, ("a", 1, 1, "a rule")),
     (ClassificationCase, ("i", 2, None, "Quadric", 2, 0, "a construction", ("an assumption",),
                           "a note")),
-    (Report, ("0.1.0", (("i", "a check"),))),
+    (Report, ("0.1.0", (("i", CheckResult("a check", 1, 1)),))),
 ]
 IDS = [cls.__name__ for cls, _ in SAMPLES]
 
@@ -71,6 +78,20 @@ def test_equal_fields_give_equal_values_and_hashes(cls, args):
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_pipeline_outputs_are_hashable_values():
+    report = build_report(fanobase.__version__)
+    twin = build_report(fanobase.__version__)
+    assert report is not twin and report == twin and hash(report) == hash(twin)
+    assert all(type(check) is CheckResult for _, check in report.checks)
+    for case in enumerate_cases():
+        for check in case_checks(case):
+            hash(check)
+    for m in range(3, 15):
+        result = analyze_cover(m)
+        assert hash(result) == hash(analyze_cover(m))
+        assert result.base == result.spec.base == Scroll(m, m - 4, 0)
 
 
 def test_different_fields_give_different_values():
@@ -205,3 +226,7 @@ def test_cli_import_loads_no_dataclasses():
     ):
         loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
         assert not heavy & loaded, (argv, heavy & loaded)
+    # `cover analyze` text renders the branch record without the report or JSON layer
+    loaded = _cold_import("from fanobase.cli import main; "
+                          "assert main(['cover', 'analyze', '--m', '5']) == 0")
+    assert not {"fanobase.classify", "fanobase.report", "json"} & loaded
