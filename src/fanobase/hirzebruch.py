@@ -51,7 +51,8 @@ class SurfaceClass(Value):
         return SurfaceClass(self.e, self.xi - other.xi, self.fib - other.fib)
 
     def __mul__(self, k):
-        if not isinstance(k, int):
+        # a bool is refused like any other non-int scalar
+        if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
         return SurfaceClass(self.e, self.xi * k, self.fib * k)
 

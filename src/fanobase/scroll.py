@@ -125,7 +125,8 @@ class DivisorClass(Value):
         return DivisorClass(-self.h, -self.f)
 
     def __mul__(self, k):
-        if not isinstance(k, int):
+        # a bool is refused like any other non-int scalar
+        if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
         return DivisorClass(self.h * k, self.f * k)
 

@@ -11,9 +11,20 @@ series; nothing here ever touches a float.  The three tools are
 * :func:`infer_ring`, the greedy generator/relation inference that
   turns a dimension count sequence back into a minimal
   complete-intersection model.
+
+Both expansions run through :func:`_series`, which applies one step per
+factor to a coefficient list.  Dividing by 1 - t^w is a running sum
+along each residue class mod w; multiplying by 1 - t^e subtracts the
+list shifted by e.  Each step takes one of two forms: whole-slice passes
+in C (``itertools.accumulate``, ``map(sub, ...)``), or the plain element
+loop.  The passes are used only when 16 * degree <= n_max, so that every
+slice is long: each pass has a fixed cost, and on shorter slices the
+element loop was measured faster.
 """
 
+from itertools import accumulate
 from math import prod
+from operator import sub
 
 from .errors import (
     FanobaseError,
@@ -26,7 +37,10 @@ from .errors import (
 )
 
 DEFAULT_TRUNCATION = 24
-# most generators plus relations infer_ring builds; a larger model is refused
+# most generators plus relations in the model infer_ring returns; a larger
+# model is refused before it is built.  It bounds the size of the output
+# (``wps infer --series 1,1000000000000`` asks for 10^12 generators), not
+# the work of a loop
 MODEL_LIMIT = 10**5
 
 
@@ -61,15 +75,34 @@ class WeightedCI(Value):
 
 
 def _series(gen_degrees, rel_degrees, n_max: int) -> list:
-    """Integer expansion of prod(1 - t^e)/prod(1 - t^w) to degree n_max."""
+    """Integer expansion of prod(1 - t^e)/prod(1 - t^w) to degree n_max.
+
+    Dividing by 1 - t^w replaces each residue class mod w by its prefix
+    sums; multiplying by 1 - t^e subtracts the list shifted by e.  A step
+    whose degree is small against n_max (16 * degree <= n_max) runs as
+    slice passes in C: one ``accumulate`` per residue class, or one
+    ``map(sub, ...)``.  Any other step runs the element loop, which
+    measured faster there, because each slice pass has a fixed cost.
+    """
     coeffs = [0] * (n_max + 1)
     coeffs[0] = 1
+    # both bounds are hoisted, so a model of many generators or relations
+    # at a tiny n_max pays no more per step than the bare element loop
+    top = n_max + 1
+    longest = n_max // 16  # the largest degree with 16 * degree <= n_max
     for w in gen_degrees:
-        for k in range(w, n_max + 1):
-            coeffs[k] += coeffs[k - w]
+        if w > longest:
+            for k in range(w, top):
+                coeffs[k] += coeffs[k - w]
+        else:
+            for r in range(w):
+                coeffs[r::w] = accumulate(coeffs[r::w])
     for e in rel_degrees:
-        for k in range(n_max, e - 1, -1):
-            coeffs[k] -= coeffs[k - e]
+        if e > longest:
+            for k in range(n_max, e - 1, -1):
+                coeffs[k] -= coeffs[k - e]
+        else:
+            coeffs[e:] = map(sub, coeffs[e:], coeffs[:-e])
     return coeffs
 
 
@@ -141,7 +174,8 @@ def infer_ring(seq):
     gens: list = []
     rels: list = []
     for d in range(1, n_max + 1):
-        candidate = _series(gens, rels, n_max)
+        # only degree d is read, and truncation commutes with every step
+        candidate = _series(gens, rels, d)
         if candidate[d] < 0:
             raise Inconsistent(
                 f"degree {d}: relations drove the model dimension to {candidate[d]}"

@@ -66,6 +66,21 @@ SAMPLES = [
 IDS = [cls.__name__ for cls, _ in SAMPLES]
 
 
+@pytest.mark.parametrize("c, doubled, times_minus_three", [
+    (DivisorClass(1, 2), DivisorClass(2, 4), DivisorClass(-3, -6)),
+    (SurfaceClass(4, 1, 2), SurfaceClass(4, 2, 4), SurfaceClass(4, -3, -6)),
+], ids=["DivisorClass", "SurfaceClass"])
+def test_scalar_multiplication(c, doubled, times_minus_three):
+    assert 2 * c == c * 2 == doubled
+    assert c * -3 == -3 * c == times_minus_three
+    # a bool is no integer scalar, on either side, and neither is a float
+    for k in (1.5, True, False):
+        with pytest.raises(TypeError):
+            c * k
+        with pytest.raises(TypeError):
+            k * c
+
+
 def test_every_value_type_is_covered():
     assert len(SAMPLES) == 13
     assert {cls for cls, _ in SAMPLES} == set(Value.__subclasses__())
@@ -193,12 +208,19 @@ def test_public_names_resolve_to_their_home_objects():
 
 
 def _cold_import(statement: str) -> set:
-    """Module names loaded by a fresh interpreter that runs ``statement``."""
+    """Module names loaded by a fresh interpreter that runs ``statement``.
+
+    The names come on one marked last line, so whatever ``statement``
+    prints itself (a CLI subcommand's output) is not read as a module.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
-    code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
+    marker = "loaded modules:"
+    code = f"import sys; {statement}; print({marker!r}, *sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    return set(out.split())
+    last = out.splitlines()[-1]
+    assert last.startswith(marker), out
+    return set(last[len(marker):].split())
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -16,7 +16,7 @@ from fanobase import (
     infer_ring,
     rr_chi,
 )
-from fanobase.errors import ModelTooLarge
+from fanobase.errors import ModelTooLarge, require_integers
 from fanobase.wps import MODEL_LIMIT
 
 
@@ -43,6 +43,62 @@ def oracle_series(gens, rels, n_max):
             rem[j] -= c * den[j - k]
     assert all(c.denominator == 1 for c in out)
     return [int(c) for c in out]
+
+
+def oracle_infer_ring(seq):
+    """infer_ring as it was before the step rewrite: the whole candidate
+    series, by plain element loops, at every degree."""
+
+    def loop_series(gen_degrees, rel_degrees, n_max):
+        coeffs = [0] * (n_max + 1)
+        coeffs[0] = 1
+        for w in gen_degrees:
+            for k in range(w, n_max + 1):
+                coeffs[k] += coeffs[k - w]
+        for e in rel_degrees:
+            for k in range(n_max, e - 1, -1):
+                coeffs[k] -= coeffs[k - e]
+        return coeffs
+
+    try:
+        seq = list(seq)
+    except TypeError:
+        raise FanobaseError("a dimension sequence must be a sequence of integers") from None
+    require_integers("a dimension sequence", seq)
+    if len(seq) < 2:
+        raise Inconsistent("need the sequence at least through degree 1")
+    if seq[0] != 1:
+        raise Inconsistent(f"coefficient 0 must be 1, got {seq[0]}")
+    if any(v < 0 for v in seq):
+        raise Inconsistent("dimension counts cannot be negative")
+    n_max = len(seq) - 1
+    gens: list = []
+    rels: list = []
+    for d in range(1, n_max + 1):
+        candidate = loop_series(gens, rels, n_max)
+        if candidate[d] < 0:
+            raise Inconsistent(
+                f"degree {d}: relations drove the model dimension to {candidate[d]}"
+            )
+        delta = seq[d] - candidate[d]
+        if len(gens) + len(rels) + abs(delta) > MODEL_LIMIT:
+            raise ModelTooLarge(
+                f"degree {d}: the model would grow past {MODEL_LIMIT} generators and relations"
+            )
+        if delta > 0:
+            gens.extend([d] * delta)
+        elif delta < 0:
+            rels.extend([d] * (-delta))
+    assert loop_series(gens, rels, n_max) == seq
+    return tuple(gens), tuple(rels)
+
+
+def _outcome(infer, seq):
+    """The model ``infer`` returns for ``seq``, or the type and message it raises."""
+    try:
+        return infer(seq)
+    except FanobaseError as exc:
+        return type(exc), str(exc)
 
 
 def test_weighted_ci_validation():
@@ -74,6 +130,22 @@ def test_hilbert_matches_long_division_oracle():
         rels = tuple(rng.randint(2, 8) for _ in range(rng.randint(0, len(gens) - 1)))
         x = WeightedCI(gens, rels)
         assert hilbert_coeffs(x, 16) == oracle_series(gens, rels, 16)
+    # both forms of each step, on both sides of 16 * degree <= n (w = 4 at
+    # n = 63 and 64, e = 6 at n = 95 and 96), and the element loop at
+    # w > n, n = 0, e = n and e > n
+    for gens, rels, n in [
+        ((1,), (), 0), ((2, 3), (4,), 0), ((5, 7), (), 3), ((1, 9), (9,), 9),
+        ((1, 2), (13,), 12), ((1, 4), (8,), 63), ((1, 4), (8,), 64),
+        ((1, 1, 1, 2, 3), (6,), 96), ((1, 1, 1, 2, 3), (6,), 95), ((1, 1, 1, 1, 2, 3), (2, 6), 300),
+        ((2, 3, 5), (6, 10), 120), ((1, 7), (112,), 112), ((1, 8), (113,), 112),
+    ]:
+        assert hilbert_coeffs(WeightedCI(gens, rels), n) == oracle_series(gens, rels, n), (gens, rels, n)
+    rng = random.Random(314)
+    for _ in range(60):
+        n = rng.choice((0, 1, rng.randint(2, 40), rng.randint(2, 100)))
+        gens = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 5)))
+        rels = tuple(rng.randint(2, n + 3) for _ in range(rng.randint(0, len(gens) - 1)))
+        assert hilbert_coeffs(WeightedCI(gens, rels), n) == oracle_series(gens, rels, n), (gens, rels, n)
 
 
 def test_presentation_equivalence():
@@ -171,3 +243,37 @@ def test_sextic_series_is_the_riemann_roch_polynomial():
     # case ii-a: X_6 in P(1,1,1,2,3) has degree 8, and its even degrees are h0(-kK)
     coeffs = hilbert_coeffs(WeightedCI((1, 1, 1, 2, 3), (6,)), 60)
     assert [coeffs[2 * k] for k in range(31)] == [rr_chi(8, k) for k in range(31)]
+
+
+def _random_series(rng, n_max):
+    gens = tuple(rng.choice((1, 1, 1, 2, 2, 3, 4, 5)) for _ in range(rng.randint(1, 6)))
+    rels = tuple(rng.randint(2, 12) for _ in range(rng.randint(0, len(gens) - 1)))
+    return hilbert_coeffs(WeightedCI(gens, rels), n_max)
+
+
+def test_infer_ring_matches_the_full_length_oracle():
+    rng = random.Random(2718)
+    inputs = []
+    for _ in range(80):
+        seq = _random_series(rng, rng.randint(1, 40))
+        inputs.append(seq)
+        # one entry nudged by 1..3 either way: mostly another model or Inconsistent
+        nudged = list(seq)
+        nudged[rng.randrange(len(seq))] += rng.choice((-3, -2, -1, 1, 2, 3))
+        inputs.append(nudged)
+    inputs.append(_random_series(rng, 300))
+    # models past the limit, in degree 1 and later
+    inputs += [[1, MODEL_LIMIT + rng.randint(1, 10**6)] for _ in range(3)]
+    inputs += [[1, 1, MODEL_LIMIT + 1], [1, 0, 10**9], [1, 2, 3, 4 + MODEL_LIMIT]]
+    inputs += [[1, 2, 0, 0], [1], [2, 1], [1, -1], [1, True], None]
+    too_large = 0
+    for seq in inputs:
+        got = _outcome(infer_ring, seq)
+        assert got == _outcome(oracle_infer_ring, seq), seq
+        if got[0] is ModelTooLarge:
+            too_large += 1
+        elif isinstance(got[0], tuple):  # a model, not an exception
+            gens, rels = got
+            assert oracle_series(gens, rels, len(seq) - 1) == seq
+            assert not set(gens) & set(rels)
+    assert too_large >= 6
