@@ -51,8 +51,7 @@ class SurfaceClass(Value):
         return SurfaceClass(self.e, self.xi - other.xi, self.fib - other.fib)
 
     def __mul__(self, k):
-        # a bool is refused like any other non-int scalar
-        if not isinstance(k, int) or isinstance(k, bool):
+        if type(k) is not int:
             return NotImplemented
         return SurfaceClass(self.e, self.xi * k, self.fib * k)
 

@@ -125,8 +125,7 @@ class DivisorClass(Value):
         return DivisorClass(-self.h, -self.f)
 
     def __mul__(self, k):
-        # a bool is refused like any other non-int scalar
-        if not isinstance(k, int) or isinstance(k, bool):
+        if type(k) is not int:
             return NotImplemented
         return DivisorClass(self.h * k, self.f * k)
 

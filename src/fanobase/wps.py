@@ -12,14 +12,7 @@ series; nothing here ever touches a float.  The three tools are
   turns a dimension count sequence back into a minimal
   complete-intersection model.
 
-Both expansions run through :func:`_series`, which applies one step per
-factor to a coefficient list.  Dividing by 1 - t^w is a running sum
-along each residue class mod w; multiplying by 1 - t^e subtracts the
-list shifted by e.  Each step takes one of two forms: whole-slice passes
-in C (``itertools.accumulate``, ``map(sub, ...)``), or the plain element
-loop.  The passes are used only when 16 * degree <= n_max, so that every
-slice is long: each pass has a fixed cost, and on shorter slices the
-element loop was measured faster.
+Both expansions run through :func:`_series`, whose docstring gives its step forms.
 """
 
 from itertools import accumulate
@@ -77,19 +70,19 @@ class WeightedCI(Value):
 def _series(gen_degrees, rel_degrees, n_max: int) -> list:
     """Integer expansion of prod(1 - t^e)/prod(1 - t^w) to degree n_max.
 
-    Dividing by 1 - t^w replaces each residue class mod w by its prefix
-    sums; multiplying by 1 - t^e subtracts the list shifted by e.  A step
-    whose degree is small against n_max (16 * degree <= n_max) runs as
-    slice passes in C: one ``accumulate`` per residue class, or one
-    ``map(sub, ...)``.  Any other step runs the element loop, which
-    measured faster there, because each slice pass has a fixed cost.
+    Multiplying by 1 - t^e subtracts the list shifted by e, as one
+    ``map(sub, ...)`` pass in C (empty when e > n_max).  Dividing by
+    1 - t^w replaces each residue class mod w by its prefix sums: one
+    ``accumulate`` per class when 16 * w <= n_max, so that every class is
+    long, and the element loop otherwise, because each ``accumulate``
+    pass has a fixed cost and on short classes the loop measured faster.
     """
     coeffs = [0] * (n_max + 1)
     coeffs[0] = 1
-    # both bounds are hoisted, so a model of many generators or relations
-    # at a tiny n_max pays no more per step than the bare element loop
+    # both bounds are hoisted, so a model of many generators at a tiny
+    # n_max pays no more per step than the bare element loop
     top = n_max + 1
-    longest = n_max // 16  # the largest degree with 16 * degree <= n_max
+    longest = n_max // 16  # the largest weight with 16 * w <= n_max
     for w in gen_degrees:
         if w > longest:
             for k in range(w, top):
@@ -98,11 +91,7 @@ def _series(gen_degrees, rel_degrees, n_max: int) -> list:
             for r in range(w):
                 coeffs[r::w] = accumulate(coeffs[r::w])
     for e in rel_degrees:
-        if e > longest:
-            for k in range(n_max, e - 1, -1):
-                coeffs[k] -= coeffs[k - e]
-        else:
-            coeffs[e:] = map(sub, coeffs[e:], coeffs[:-e])
+        coeffs[e:] = map(sub, coeffs[e:], coeffs[:-e])
     return coeffs
 
 

@@ -130,9 +130,9 @@ def test_hilbert_matches_long_division_oracle():
         rels = tuple(rng.randint(2, 8) for _ in range(rng.randint(0, len(gens) - 1)))
         x = WeightedCI(gens, rels)
         assert hilbert_coeffs(x, 16) == oracle_series(gens, rels, 16)
-    # both forms of each step, on both sides of 16 * degree <= n (w = 4 at
-    # n = 63 and 64, e = 6 at n = 95 and 96), and the element loop at
-    # w > n, n = 0, e = n and e > n
+    # both forms of the division step, on both sides of 16 * w <= n (w = 4
+    # at n = 63 and 64), the element loop at w > n and n = 0, and the
+    # relation pass at e = n and e > n
     for gens, rels, n in [
         ((1,), (), 0), ((2, 3), (4,), 0), ((5, 7), (), 3), ((1, 9), (9,), 9),
         ((1, 2), (13,), 12), ((1, 4), (8,), 63), ((1, 4), (8,), 64),
