@@ -9,9 +9,10 @@ degenerations of anticanonical double covers, blowup degree chains,
 and the thirteen-case classification table that ties them together.
 
 The package namespace is lazy: ``import fanobase`` imports no
-submodule, and each public name (and each submodule) is imported on
-first use, so a process that needs one kernel module pays for that
-module only.
+submodule, and each submodule is imported on first use, so a process that
+needs one kernel module pays for that module only.  A public name is read
+from its home module on every access and never stored here, so a name
+rebound there (patched, traced, restored) reads the same here.
 """
 
 from importlib import import_module
@@ -62,14 +63,12 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    """Import a public name's home module on first access and keep the name here."""
+    """Read a public name from its home module, importing that module on first use."""
     if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value
-    return value
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__():

@@ -236,14 +236,14 @@ def _checks_quadric_sextic(case: ClassificationCase) -> list:
         ),
         CheckResult(
             "anticanonical degree",
-            (Fraction(2), True),
+            (case.degree, True),
             (degree, integral),
             "amplitude^3 prod(e)/prod(w) = 12/6",
         ),
         CheckResult("degree from pencil form", case.degree, k3pencil.fano_degree(case.m)),
         CheckResult(
             "point base locus",
-            0,
+            case.bs_dim,
             k3pencil.base_locus_dimension(case.m),
             "(section + 2 fibers).section = 0 contracts the section",
         ),
@@ -262,7 +262,7 @@ def _checks_ruled_sextic(case: ClassificationCase) -> list:
     return [
         CheckResult(
             "blowup degree",
-            4,
+            case.degree,
             blowup.blowup_degree(BlowupStep(8, 2, 1)),
             "new = old - 2(-K.C) - 2 + 2g on the genus-1 curve of degree 2",
         ),
@@ -286,13 +286,14 @@ def _checks_ruled_sextic(case: ClassificationCase) -> list:
         ),
         CheckResult("pencil multiplicity from splitting type", case.m, case.nb.m),
         CheckResult("degree from pencil form", case.degree, k3pencil.fano_degree(case.m)),
-        CheckResult("curve base locus", 1, k3pencil.base_locus_dimension(case.m)),
+        CheckResult("curve base locus", case.bs_dim, k3pencil.base_locus_dimension(case.m)),
     ]
 
 
 def _checks_product(case: ClassificationCase) -> list:
     return [
-        CheckResult("product degree", 6, blowup.product_degree(1), "6 x (del Pezzo degree)"),
+        CheckResult("product degree", case.degree, blowup.product_degree(1),
+                    "6 x (del Pezzo degree)"),
         CheckResult(
             "exceptional surface index",
             0,
@@ -306,7 +307,7 @@ def _checks_product(case: ClassificationCase) -> list:
             blowup.decomposition_fiber_coeff(case.nb.a),
             "-K = Z + (a+2)F with a = 0",
         ),
-        CheckResult("curve base locus", 1, k3pencil.base_locus_dimension(case.m)),
+        CheckResult("curve base locus", case.bs_dim, k3pencil.base_locus_dimension(case.m)),
     ]
 
 
@@ -345,7 +346,7 @@ def _checks_cone(case: ClassificationCase) -> list:
         CheckResult("cover degree", 4 * m - 8, cover.cover_degree(spec), "(-K)^3 = 2 delta"),
         CheckResult(
             "first blowup degree",
-            2 * m - 2,
+            case.degree,
             blowup.blowup_degree(BlowupStep(4 * m - 8, m - 4, 0)),
         ),
         CheckResult(
@@ -393,7 +394,7 @@ def _checks_cone(case: ClassificationCase) -> list:
             blowup.decomposition_fiber_coeff(case.nb.a),
             "-K = Z + B + (a+2)F with a = m - 2",
         ),
-        CheckResult("curve base locus", 1, k3pencil.base_locus_dimension(m)),
+        CheckResult("curve base locus", case.bs_dim, k3pencil.base_locus_dimension(m)),
     ]
 
 

@@ -57,43 +57,48 @@ class DoubleCoverSpec(Value):
 class BranchReport(Value):
     """Everything the branch pipeline establishes for one value of m.
 
-    ``spec`` is the :class:`DoubleCoverSpec` (base, D, L) the analysis ran
-    on; the base scroll is read as ``base``.  ``residual_class`` is the
-    class complement R = D - B of one copy of the rigid member B, the
-    decomposition the fiber geometry uses (line plus cubic); ``b_mult`` is
-    the multiplicity with which B is actually forced into the generic
-    member, which is 1 for m >= 4 and 0 for m = 3, where the branch can be
-    chosen to avoid B entirely.
+    Stored: ``spec``, the :class:`DoubleCoverSpec` (base, D, L) the analysis
+    ran on; ``b_class``, the rigid member B; ``b_mult``, how often B is
+    forced into the generic member (1 for m >= 4, 0 for m = 3, where the
+    branch can avoid B); ``fiber_mult`` at the distinguished point.
+    Derived: ``base`` is ``spec.base``, ``residual_class`` is R = D - B (the
+    line-plus-cubic split) and ``verdict`` is the Du Val rule ``fiber_mult <= 3``.
     """
 
-    __slots__ = ("m", "spec", "b_class", "b_mult", "residual_class", "fiber_mult", "verdict")
+    __slots__ = ("m", "spec", "b_class", "b_mult", "fiber_mult")
 
     def __init__(self, m: int, spec: DoubleCoverSpec, b_class: DivisorClass, b_mult: int,
-                 residual_class: DivisorClass, fiber_mult, verdict: Verdict):
-        (set_m, set_spec, set_b_class, set_b_mult, set_residual, set_fiber_mult,
-         set_verdict) = self._set
+                 fiber_mult):
+        set_m, set_spec, set_b_class, set_b_mult, set_fiber_mult = self._set
         set_m(self, m)
         set_spec(self, spec)
         set_b_class(self, b_class)
         set_b_mult(self, b_mult)
-        set_residual(self, residual_class)
         set_fiber_mult(self, fiber_mult)
-        set_verdict(self, verdict)
 
     @property
     def base(self) -> Scroll:
         return self.spec.base
 
+    @property
+    def residual_class(self) -> DivisorClass:
+        return self.spec.branch - self.b_class
+
+    @property
+    def verdict(self) -> Verdict:
+        passes = self.fiber_mult <= 3  # INFINITE orders above every integer
+        return Verdict.PASSES_DU_VAL_NECESSARY if passes else Verdict.FAILS_DU_VAL_NECESSARY
+
     def to_dict(self) -> dict:
         """The one output record: CLI text and JSON render it."""
-        branch = self.spec.branch
+        branch, residual = self.spec.branch, self.residual_class
         return {
             "m": self.m,
             "base": list(self.spec.base.twists),
             "branch": [branch.h, branch.f],
             "b_class": [self.b_class.h, self.b_class.f],
             "b_mult": self.b_mult,
-            "residual": [self.residual_class.h, self.residual_class.f],
+            "residual": [residual.h, residual.f],
             "fiber_mult": "infinite" if self.fiber_mult == INFINITE else self.fiber_mult,
             "verdict": self.verdict.value,
         }
@@ -136,18 +141,9 @@ def analyze_cover(m: int) -> BranchReport:
     spec = branch_for_taut_anticanonical(base)
     b = DivisorClass(1, -m)
     b_mult = fixed_component_multiplicity(base, b, spec.branch)
-    residual = spec.branch - b
     # distinguished point: all coordinates vanish except the one dual to
     # the smallest twist (last after sorting)
     fiber_mult = fiber_multiplicity_at(base, spec.branch, base.rank)
-    assert intersect(base, [residual, b, DivisorClass(1, 0)]) == 0
-    passes = fiber_mult <= 3  # INFINITE orders above every integer
-    return BranchReport(
-        m=m,
-        spec=spec,
-        b_class=b,
-        b_mult=b_mult,
-        residual_class=residual,
-        fiber_mult=fiber_mult,
-        verdict=Verdict.PASSES_DU_VAL_NECESSARY if passes else Verdict.FAILS_DU_VAL_NECESSARY,
-    )
+    report = BranchReport(m, spec, b, b_mult, fiber_mult)
+    assert intersect(base, [report.residual_class, b, DivisorClass(1, 0)]) == 0
+    return report

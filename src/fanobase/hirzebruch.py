@@ -63,8 +63,7 @@ class SurfaceClass(Value):
 
 def intersect2(c1: SurfaceClass, c2: SurfaceClass) -> int:
     """Intersection pairing -e*xi1*xi2 + xi1*fib2 + xi2*fib1."""
-    if c1.e != c2.e:
-        raise SurfaceMismatch(f"classes live on Sigma_{c1.e} and Sigma_{c2.e}")
+    c1._same_surface(c2)
     return -c1.e * c1.xi * c2.xi + c1.xi * c2.fib + c2.xi * c1.fib
 
 

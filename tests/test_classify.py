@@ -138,6 +138,34 @@ def test_suite_follows_case_kind_not_label():
         assert [c.name for c in case_checks(renamed)] == [c.name for c in case_checks(case)]
 
 
+def _row_with(case, **changes):
+    fields = {name: getattr(case, name) for name in ClassificationCase.__slots__}
+    return ClassificationCase(**{**fields, **changes})
+
+
+def _failing(case):
+    return [c.name for c in case_checks(case) if not c.passed]
+
+
+def test_a_mistyped_column_fails_the_checks_that_state_it():
+    # the suites read the row's own degree and base-locus dimension, so
+    # a wrong entry in either column fails every check that states it
+    sextic = enumerate_cases()[1]
+    assert sextic.label == "ii-a"
+    assert _failing(_row_with(sextic, bs_dim=0)) == ["curve base locus"]
+    assert _failing(_row_with(sextic, degree=5)) == ["blowup degree", "degree from pencil form"]
+    degree_checks = {
+        "i": ["anticanonical degree", "degree from pencil form"],
+        "ii-a": ["blowup degree", "degree from pencil form"],
+        "ii-b": ["product degree", "degree from pencil form"],
+    }
+    for case in enumerate_cases():
+        base_locus = "point base locus" if case.bs_dim == 0 else "curve base locus"
+        assert _failing(_row_with(case, bs_dim=1 - case.bs_dim)) == [base_locus], case.label
+        assert _failing(_row_with(case, degree=case.degree + 2)) == degree_checks.get(
+            case.label, ["first blowup degree", "degree from pencil form"]), case.label
+
+
 def test_excluded_splitting_type_has_no_suite():
     case = product_case()
     excluded = ClassificationCase(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -15,13 +16,14 @@ import pytest
 import fanobase
 from fanobase import FanobaseError, build_report
 from fanobase.cli import main
-from fanobase.report import _jsonable
+from fanobase.report import _jsonable, to_json
 
 # verify-paper outputs pinned byte for byte (sha256 of stdout, newline included)
 VERIFY_JSON_SHA256 = "7368d7b6fe338795b483d34d815e48dc7acdb4f66bec22715b4e71126e9ea87a"
 VERIFY_JSON_BYTES = 41493
 VERIFY_TEXT_SHA256 = "e3ca4a7ceffe57007628663e8914c9423caf0413e392bb595fa5a92a326e148d"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -137,6 +139,9 @@ def test_wps_hilbert(capsys):
 def test_wps_hilbert_no_relations(capsys):
     code, out, _ = run(capsys, "wps", "hilbert", "--weights", "1", "--max", "3")
     assert code == 0 and out == "1,1,1,1\n"
+    # an empty list is no relations
+    code, out, _ = run(capsys, "wps", "hilbert", "--weights", "1", "--degrees", "", "--max", "3")
+    assert code == 0 and out == "1,1,1,1\n"
 
 
 def test_wps_hilbert_refuses_large_truncation(capsys):
@@ -229,6 +234,35 @@ def test_classify_enumerate(capsys):
     assert any("ii-c(12)" in line and "degree=22" in line for line in lines)
 
 
+def _readme_commands():
+    """The lines of README's "Command line" block, as (argv, expected output lines or None).
+
+    Bracketed options are dropped; a comment ``-> a, b`` gives the output lines a and b.
+    """
+    text = README.read_text()
+    block = text[text.index("## Command line"):].split("```")[1]
+    commands = []
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", command))
+        assert argv[0] == "fanobase", line
+        _, arrow, expected = comment.partition("->")
+        commands.append((argv[1:], expected.strip().split(", ") if arrow else None))
+    return commands
+
+
+def test_readme_examples_run(capsys):
+    commands = _readme_commands()
+    # the block was found and read whole, with both "->" comments
+    assert len(commands) >= 11
+    assert sum(expected is not None for _, expected in commands) >= 2
+    for argv, expected in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", (argv, err)
+        if expected is not None:
+            assert out.splitlines() == expected, argv
+
+
 def test_blowup_degree(capsys):
     code, out, _ = run(capsys, "blowup", "degree", "--ambient", "8", "--curve", "2", "--genus", "1")
     assert code == 0 and out == "4\n"
@@ -268,6 +302,9 @@ def test_verify_paper_json_round_trip(capsys):
     parsed = json.loads(out)
     assert parsed["summary"]["failed"] == 0
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
+    # the report's own serialization is the one layout of its dict
+    report = build_report(fanobase.__version__)
+    assert report.to_json() == to_json(report.to_dict()) == out[:-1]
 
 
 def test_verify_paper_outputs_pinned(capsys):
@@ -288,6 +325,28 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "scroll", "h0", "--d", "5,1,0")
     assert code == 2
     assert "required" in err
+    code, out, err = run(capsys, "scroll", "h0", "--d", "5,x,0", "--class", "4,-8")
+    assert code == 2 and out == ""
+    assert "expected comma-separated integers, got '5,x,0'" in err
+    # a class is a pair, on a scroll and on a surface alike
+    code, out, err = run(capsys, "scroll", "h0", "--d", "5,1,0", "--class", "1,2,3")
+    assert code == 2 and out == ""
+    assert "a class is a pair h,f; got '1,2,3'" in err
+    code, out, err = run(capsys, "surface", "split", "--e", "4", "--class", "1,2,3")
+    assert code == 2 and out == ""
+    assert "expected a pair of integers, got '1,2,3'" in err
+
+
+def test_one_version_number(capsys):
+    # the package metadata, --version and the report all read fanobase.__version__
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text())
+    assert "version" not in project["project"] and project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "fanobase.__version__"}
+    code, out, _ = run(capsys, "--version")
+    assert code == 0 and out == f"fanobase {fanobase.__version__}\n"
+    _, out, _ = run(capsys, "verify-paper", "--json")
+    assert json.loads(out)["version"] == fanobase.__version__
 
 
 def test_unknown_command_exit_code(capsys):

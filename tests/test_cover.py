@@ -3,6 +3,8 @@
 import pytest
 
 from fanobase import (
+    INFINITE,
+    BranchReport,
     DivisorClass,
     InvalidM,
     Scroll,
@@ -125,6 +127,20 @@ def test_branch_restricts_to_sigma4_quartic():
     sub, cls = restrict_to_subscroll(base, (1, 3), spec.branch)
     surface_class = from_scroll(sub, cls)
     assert (surface_class.e, surface_class.xi, surface_class.fib) == (4, 4, 12)
+
+
+def test_residual_and_verdict_are_derived_from_the_stored_fields():
+    # the report stores what the analysis computes; R = D - B and the
+    # Du Val rule fiber_mult <= 3 are read from those fields
+    spec = branch_for_taut_anticanonical(Scroll(5, 1, 0))
+    b = C(1, -5)
+    failing = BranchReport(5, spec, b, 1, 4)
+    assert failing.verdict is Verdict.FAILS_DU_VAL_NECESSARY
+    assert failing.residual_class == spec.branch - b == C(3, -3)
+    assert BranchReport(5, spec, b, 1, 3).verdict is Verdict.PASSES_DU_VAL_NECESSARY
+    assert BranchReport(5, spec, b, 1, INFINITE).verdict is Verdict.FAILS_DU_VAL_NECESSARY
+    assert BranchReport.__slots__ == ("m", "spec", "b_class", "b_mult", "fiber_mult")
+    assert analyze_cover(5) == BranchReport(5, spec, b, 1, 2)
 
 
 def test_report_dict_round_trips_branch():

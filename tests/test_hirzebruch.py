@@ -5,6 +5,7 @@ import pytest
 from fanobase import (
     DivisorClass,
     EmptySystem,
+    FanobaseError,
     NotEffectiveShape,
     RankMismatch,
     Scroll,
@@ -145,3 +146,10 @@ def test_pairing_agrees_with_scroll_intersection():
 def test_surface_class_needs_matching_index_for_sums():
     with pytest.raises(SurfaceMismatch):
         SurfaceClass(2, 1, 0) + SurfaceClass(3, 1, 0)
+    with pytest.raises(SurfaceMismatch):
+        SurfaceClass(2, 1, 0) - SurfaceClass(3, 1, 0)
+
+
+def test_surface_index_is_non_negative():
+    with pytest.raises(FanobaseError):
+        SurfaceClass(-1, 0, 0)

@@ -31,6 +31,14 @@ def test_dot_identity_minus_k_dot_section():
         assert dot(PencilClass(1, m), PencilClass(1, 0)) == m - 2
 
 
+def test_sum_and_difference_are_componentwise():
+    a, b = PencilClass(1, 5), PencilClass(2, -3)
+    assert a + b == PencilClass(3, 2)
+    assert a - b == PencilClass(-1, 8)
+    assert (a - b) + b == a
+    assert dot(a + b, a) == dot(a, a) + dot(b, a)
+
+
 def test_lattice_is_even():
     for gamma in range(-6, 7):
         for ell in range(-6, 7):

@@ -703,6 +703,8 @@ def test_fiber_multiplicity_examples():
     assert fiber_multiplicity_at(Scroll(5, 1, 0), C(0, 0), 3) == 0
     with pytest.raises(IndexOutOfRange):
         fiber_multiplicity_at(Scroll(5, 1, 0), C(0, 0), 4)
+    with pytest.raises(NegativeDegree):
+        fiber_multiplicity_at(Scroll(5, 1, 0), C(-1, 3), 3)
 
 
 def test_fiber_multiplicity_matches_oracle_support():
@@ -732,6 +734,9 @@ def test_infinite_orders_above_every_integer():
     assert 3 < INFINITE
     assert not INFINITE <= 3
     assert max(5, INFINITE) is INFINITE
+    # one value: equal, equal hashes, and the repr names it
+    assert type(INFINITE)() == INFINITE and hash(type(INFINITE)()) == hash(INFINITE)
+    assert repr(INFINITE) == "INFINITE"
 
 
 def test_branch_multiplicity_bound_reproduces_twelve():
