@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import shlex
 import signal
 import subprocess
@@ -313,6 +314,81 @@ def test_verify_paper_outputs_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
     _, text, _ = run(capsys, "verify-paper")
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_TEXT_SHA256
+
+
+# sha256 of stdout (newline included) of every output below, pinned from the
+# CLI and demos as they printed before the subcommands returned records; the
+# keys are argv lines, the cover sweep over COVER_SWEEP, and the demo files
+COVER_SWEEP = [*range(3, 41), 400]
+GOLDEN_SHA256 = {
+    "cover analyze --m 3..40,400":
+        "d1ca1361c23d3c543fbab267b74b6935914197ff714b20371923f86fcbe709cf",
+    "cover analyze --m 3..40,400 --json":
+        "9b99344fe125a4e70411b41c14822a4af4089f9591354ab2d2bc7f41fa7012fb",
+    "classify enumerate":
+        "2660dd0ca82bb8e5c0489b805041ee45d945812b8426a53216bec90964c19c96",
+    "verify-paper":
+        "e3ca4a7ceffe57007628663e8914c9423caf0413e392bb595fa5a92a326e148d",
+    "scroll h0 --d 5,1,0 --class 4,-8":
+        "0e55092af0746630c98d1b2e0d960617c33f8ea7b55739fd18cb7cd5342a28ca",
+    "scroll support --d 13,9,0 --class 4,-40":
+        "5da78737dc7bc9aa0935d98bc4a5deda783c4c1d4a24519d20bc04d7cc22b790",
+    "scroll intersect --d 5,1,0 --classes '1,0;1,0;1,0'":
+        "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+    "surface split --e 4 --class 4,12":
+        "b59336b45725f05d4ab9d60cae0cd649367f24d08698d324a71891ce8364441e",
+    "k3 chain --m 5":
+        "deadfe5ad1fa7c0078b96b72a106b20583aed361d3a8cc62f51a74f0b16da420",
+    "wps hilbert --weights 1,1,1,2,3 --degrees 6 --max 6":
+        "b3d4a4202e1d00d782135633a2d4efa3e6ce0fed9bee5dbf5d1be59e3f1909cb",
+    "wps infer --series 1,3,7,14,25,41,63":
+        "3ccbf131fbd1b7610db1f3cd37495b8aec697859271cbfd8cf3e8c807ec43d14",
+    "cover analyze --m 13":
+        "2dbcd21ebc71b09ea50e97f1bebe5ae90dc29611af9faea5b747cc81550ce044",
+    "blowup degree --ambient 8 --curve 2 --genus 1":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "demos/01_scroll_linear_systems.py":
+        "4f5ca82edcaa8decd197311a8176a4f4f648eedeaec4f53d99fb31cc3534cb6b",
+    "demos/02_branch_degeneration.py":
+        "d0f9247896a2eee822b4d53b54ac6744ff6a343bce2b7504efbeb8d8e6361bb2",
+    "demos/03_hilbert_series_and_riemann_roch.py":
+        "2b412d968a70d1bf34c56053d2b8f2573975e9c9d331941246d1f268de60eb83",
+    "demos/04_classification_table.py":
+        "626dc13a824d31e323f86f90d48e590cfa6115e836fc320aa4acdc9384360015",
+}
+
+
+def _golden_outputs(capsys) -> dict:
+    """Each pinned output by its key in GOLDEN_SHA256; every CLI line exits 0."""
+    outputs = {}
+    for flags in ([], ["--json"]):
+        sweep = []
+        for m in COVER_SWEEP:
+            code, out, _ = run(capsys, "cover", "analyze", "--m", str(m), *flags)
+            assert code == 0, m
+            sweep.append(out)
+        outputs[" ".join(["cover analyze --m 3..40,400", *flags])] = "".join(sweep)
+    for argv in [["classify", "enumerate"]] + [argv for argv, _ in _readme_commands()]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        outputs[shlex.join(argv)] = out
+    for demo in sorted(DEMOS.glob("*.py")):
+        # a demo restores the default SIGPIPE action; keep the test process's own
+        handler = signal.getsignal(signal.SIGPIPE)
+        try:
+            runpy.run_path(str(demo), run_name="__main__")
+        finally:
+            signal.signal(signal.SIGPIPE, handler)
+        outputs[f"demos/{demo.name}"] = capsys.readouterr().out
+    return outputs
+
+
+def test_golden_outputs_pinned(capsys):
+    outputs = _golden_outputs(capsys)
+    assert sorted(outputs) == sorted(GOLDEN_SHA256)
+    changed = [key for key, out in outputs.items()
+               if hashlib.sha256(out.encode()).hexdigest() != GOLDEN_SHA256[key]]
+    assert not changed
 
 
 def test_verify_paper_deterministic(capsys):
