@@ -217,27 +217,28 @@ def _floor_sums(n: int, a: int, b: int, c: int) -> tuple:
     Euclid-style, ``floor_sum`` of the AtCoder Library extended to the
     sums of x*q and q*q: reduce a and b mod c, then count the lattice
     points under the line the other way round, with the roles of a and c
-    swapped; O(log) steps.
+    swapped.  Each level's sums are affine in the next level's, so one
+    walk down the Euclid chain keeps each level's coefficients and one
+    walk back up folds them: O(log) steps, and no frame per step.
     """
-    if n <= 0:
-        return 0, 0, 0
-    s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
-    qa, a = divmod(a, c)
-    qb, b = divmod(b, c)
-    m = (a * (n - 1) + b) // c
-    if m == 0:
-        f = g = h = 0
-    else:
+    levels = []
+    while n > 0:
+        qa, a = divmod(a, c)
+        qb, b = divmod(b, c)
+        m = (a * (n - 1) + b) // c
+        levels.append((n, m, qa, qb))
         # q > i exactly for x > t(i) = (c*i + c - b - 1) // a, i = 0..m-1
-        ft, gt, ht = _floor_sums(m, c, c - b - 1, a)
-        f = (n - 1) * m - ft
-        g = (m * n * (n - 1) - ht - ft) // 2
-        h = (n - 1) * m * m - 2 * gt - ft
-    return (
-        f + qa * s1 + qb * n,
-        g + qa * s2 + qb * s1,
-        h + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * g + 2 * qb * f,
-    )
+        n, a, b, c = m, c, c - b - 1, a
+    f = g = h = 0  # the last level has m = 0: its reduced sums are 0
+    for n, m, qa, qb in reversed(levels):
+        s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+        if m:
+            f, g, h = (n - 1) * m - f, (m * n * (n - 1) - h - f) // 2, (n - 1) * m * m - 2 * g - f
+        # add back q's quotients qa*x + qb; h reads f and g before they change
+        h += qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * g + 2 * qb * f
+        f += qa * s1 + qb * n
+        g += qa * s2 + qb * s1
+    return f, g, h
 
 
 def _chi(d: tuple, h: int, f: int, weighted: bool) -> int:

@@ -75,6 +75,17 @@ def test_surface_split(capsys):
     assert out.splitlines() == ["multiplicity 1", "residual 3,12"]
 
 
+def test_scroll_h0_long_euclid_chain(capsys):
+    # Fibonacci twists of 210 digits: a floor-sum chain of about 1000 steps answers, exit 0
+    a, b = 0, 1
+    for _ in range(1001):
+        a, b = b, a + b
+    h = 10**215
+    code, out, err = run(capsys, "scroll", "h0", "--d", f"{b},{a},0", f"--class={h},{-(h * a // 2)}")
+    assert code == 0 and err == ""
+    assert out == f"{fanobase.h0(fanobase.Scroll(b, a, 0), fanobase.DivisorClass(h, -(h * a // 2)))}\n"
+
+
 def test_scroll_h0_huge_rank_three_class_in_a_fresh_process():
     # a band of 1.5 * 10**8 exponents, summed by floor sums: logarithmic in the numbers
     env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))

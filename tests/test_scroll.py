@@ -394,6 +394,25 @@ def test_floor_sums_match_direct_sums():
         assert _floor_sums(*args) == direct(*args), args
 
 
+def _fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("k, digits", [(702, 150), (1002, 215)])
+def test_floor_sums_walk_a_long_euclid_chain(k, digits):
+    # consecutive Fibonacci twists give a Euclid chain of about k steps, past
+    # the interpreter's frame limit at k = 1002; second route: the support of
+    # (h, f) is what h0 loses from f down to f - 1
+    s, h = Scroll(_fibonacci(k), _fibonacci(k - 1), 0), 10**digits
+    f = -(h * _fibonacci(k - 1) // 2)
+    size = support_size(s, C(h, f))
+    assert size > 0
+    assert h0(s, C(h, f)) - h0(s, C(h, f - 1)) == size
+
+
 def test_band_split_matches_band_walk():
     # rank 3 with bands up to about 10**4 exponents, rank 4 with smaller ones;
     # ties d1 = d2 and d2 = d3 and negative twists included
@@ -439,10 +458,8 @@ def test_large_classes_answer_promptly():
     assert h0(s, C(100, -150)) == weight_count_h0(s.twists, 100, -150)
 
 
-def test_walk_bound_covers_the_walk(monkeypatch):
-    # count the rank-3 closed forms a rank 4-6 count evaluates; the bound checked
-    # before the walk is never below it, and the count still matches the band walk
-    rng = random.Random(20261119)
+def _count_closed_forms(monkeypatch) -> list:
+    """Patch ``_count`` to append, per rank-4 walk, the rank-3 closed forms it evaluates."""
     calls = []
     count = scroll_module._count
 
@@ -455,6 +472,20 @@ def test_walk_bound_covers_the_walk(monkeypatch):
         return count(d, h, f, weighted)
 
     monkeypatch.setattr(scroll_module, "_count", counting)
+    return calls
+
+
+def _band(d: tuple, h: int, f: int) -> tuple:
+    """(lo, k_t): the first x_1-exponent of the support and the end of the walked band."""
+    lo = scroll_module._exponent_range(d, h, f, 1)[0]
+    return lo, max(lo, -((f + h * d[-1]) // (d[0] - d[-1])))
+
+
+def test_walk_bound_covers_the_walk(monkeypatch):
+    # count the rank-3 closed forms a rank 4-6 count evaluates; the bound checked
+    # before the walk is never below it, and the count still matches the band walk
+    rng = random.Random(20261119)
+    calls = _count_closed_forms(monkeypatch)
     walked = 0
     for _ in range(60):
         n = rng.randint(4, 6)
@@ -465,11 +496,36 @@ def test_walk_bound_covers_the_walk(monkeypatch):
         assert h0(Scroll(d), C(h, f)) == band_walk_count(tuple(d), h, f, True), (d, h, f)
         span = scroll_module._exponent_range(tuple(d), h, f, 1)
         if calls and span is not None:
-            lo = span[0]
-            k_t = max(lo, -((f + h * d[-1]) // (d[0] - d[-1])))
+            lo, k_t = _band(tuple(d), h, f)
             assert sum(calls) <= _walk_bound(tuple(d), h, f, lo, k_t), (d, h, f)
             walked += sum(calls) > 0
     assert walked >= 20
+
+
+# a rank-5 walk whose bound is attained: one x_1-exponent, whose rank-4 walk
+# evaluates 2 closed forms, against a width min(h - lo + 1, ceil(p / (d2 - dn)))
+# = min(3, 2); a width term h - lo - 1 = 1 would bound it by 1
+TIGHT_WALK = (2, 1, 1, 0, -1), 2, -1
+
+
+def test_walk_bound_is_attained_at_rank_five(monkeypatch):
+    d, h, f = TIGHT_WALK
+    calls = _count_closed_forms(monkeypatch)
+    assert h0(Scroll(d), C(h, f)) == band_walk_count(d, h, f, True)
+    assert _band(d, h, f) == (0, 1)
+    assert calls == [2] and _walk_bound(d, h, f, 0, 1) == 2
+
+
+def test_walk_at_the_budget_answers(monkeypatch):
+    # the budget refuses a walk whose bound is over it, not one at it
+    d, h, f = TIGHT_WALK
+    monkeypatch.setattr(scroll_module, "WALK_BUDGET", 2)
+    assert h0(Scroll(d), C(h, f)) == band_walk_count(d, h, f, True)
+    assert support_size(Scroll(d), C(h, f)) == band_walk_count(d, h, f, False)
+    monkeypatch.setattr(scroll_module, "WALK_BUDGET", 1)
+    for count in (h0, support_size):
+        with pytest.raises(BandTooWide):
+            count(Scroll(d), C(h, f))
 
 
 def test_wide_rank_four_walk_is_refused():
@@ -481,8 +537,7 @@ def test_wide_rank_four_walk_is_refused():
     # wide walks inside the benchmark's ladder envelope (ranks 4-6, h <= 40, twists -2..12) answer
     for d, f in (((4, 3, 1, 0), -120), ((12, 11, 10, 9, -2), -440), ((12, 11, 10, 9, 8, -2), -440),
                  ((12, 11, 10, 9, 8, -2), -400)):
-        lo = scroll_module._exponent_range(d, 40, f, 1)[0]
-        k_t = max(lo, -((f + 40 * d[-1]) // (d[0] - d[-1])))
+        lo, k_t = _band(d, 40, f)
         assert 0 < _walk_bound(d, 40, f, lo, k_t) <= 41**3 < WALK_BUDGET
         assert h0(Scroll(d), C(40, f)) == weight_count_h0(d, 40, f), (d, f)
 

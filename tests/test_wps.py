@@ -167,6 +167,8 @@ def test_anticanonical_degree_examples():
         anticanonical_degree(WeightedCI((1, 1, 1, 1, 1)))
     value, integral = anticanonical_degree(WeightedCI((1, 1, 2, 5), ()))
     assert value == Fraction(9 ** 3, 10) and not integral
+    # (-K)^3 = 256^3 / 64^4 = 1: the least degree in the Gorenstein Fano range
+    assert anticanonical_degree(WeightedCI((64, 64, 64, 64))) == (Fraction(1), True)
 
 
 def test_rr_chi_examples():
