@@ -6,7 +6,6 @@ summary counts.  Serialization is deterministic (sorted keys, fixed
 indentation), so a parsed report re-serializes to the identical byte string.
 """
 
-import json
 from enum import Enum
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ from .errors import FanobaseError, Value, require_integers
 
 def to_json(data: dict) -> str:
     """The one JSON layout of every output dict: sorted keys, two-space indent."""
+    import json  # here, its only use, so a text output loads no json
     return json.dumps(data, indent=2, sort_keys=True)
 
 

@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, report determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -16,7 +17,8 @@ import pytest
 
 import fanobase
 from fanobase import FanobaseError, build_report
-from fanobase.cli import main
+from fanobase import cli
+from fanobase.cli import build_parser, main
 from fanobase.report import _jsonable, to_json
 
 # verify-paper outputs pinned byte for byte (sha256 of stdout, newline included)
@@ -67,6 +69,11 @@ def test_scroll_support(capsys):
     code, out, _ = run(capsys, "scroll", "support", "--d", "13,9,0", "--class", "4,-40")
     assert code == 0
     assert out.splitlines() == ["4,0,0", "3,1,0", "2,2,0", "1,3,0"]
+    # an empty support prints no line at all, and an empty list as JSON
+    code, out, _ = run(capsys, "scroll", "support", "--d", "5,1,0", "--class", "1,-6")
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "scroll", "support", "--d", "5,1,0", "--class", "1,-6", "--json")
+    assert code == 0 and json.loads(out) == {"support": []}
 
 
 def test_surface_split(capsys):
@@ -261,6 +268,32 @@ def _readme_commands():
         _, arrow, expected = comment.partition("->")
         commands.append((argv[1:], expected.strip().split(", ") if arrow else None))
     return commands
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _readme_commands()], ids=shlex.join)
+def test_text_and_json_render_one_record(capsys, argv):
+    # the text is the leaf's renderer applied to the record the JSON carries
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--json")
+    assert code == json_code == 0
+    record = json.loads(out)
+    assert to_json(record) + "\n" == out
+    assert build_parser().parse_args(argv).render(record) + "\n" == text
+
+
+def test_main_alone_prints():
+    # one output path: no handler or renderer writes to stdout, and --json is declared once
+    source = Path(cli.__file__).read_text()
+    printers = [
+        function.name
+        for function in ast.parse(source).body if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        and not any(keyword.arg == "file" for keyword in node.keywords)
+    ]
+    assert printers == ["main"]
+    assert source.count('"--json"') == 1
+    assert not re.search(r"args\.\w+_op\b", source)
 
 
 def test_readme_examples_run(capsys):

@@ -6,8 +6,8 @@ and pickling, also on the reports the pipeline builds; the lazy package
 namespace, whose public names are those of the eager one and resolve to
 their home modules' objects; and cold imports: ``fanobase.cli`` loads
 neither ``dataclasses`` nor ``inspect``, ``fanobase.scroll`` or
-``fanobase.wps`` loads no other submodule, and ``cover analyze`` text
-loads neither the report nor the JSON layer.
+``fanobase.wps`` loads no other submodule, and no CLI text output loads
+the JSON layer (nor the report, except ``verify-paper``, which builds one).
 """
 
 import copy
@@ -251,19 +251,22 @@ def test_cli_import_loads_no_dataclasses():
         assert {m for m in loaded if m.startswith("fanobase")} == {
             "fanobase", "fanobase.errors", f"fanobase.{module}"}
         assert not stdlib & loaded
-    # a CLI process loads only its subcommand's modules
+    # a CLI process loads only its subcommand's modules, and text loads no json
     heavy = {"fanobase.classify", "fanobase.cover", "fanobase.report", "json", "fractions", "decimal"}
-    for argv in (
-        ["scroll", "h0", "--d", "5,1,0", "--class", "4,-8"],
-        ["surface", "split", "--e", "4", "--class", "4,12"],
-        ["k3", "chain", "--m", "5"],
-        ["wps", "hilbert", "--weights", "1,1,1,2,3", "--degrees", "6", "--max", "6"],
-        ["wps", "infer", "--series", "1,3,7,14,25,41,63"],
-        ["blowup", "degree", "--ambient", "8", "--curve", "2", "--genus", "1"],
+    for argv, absent in (
+        (["scroll", "h0", "--d", "5,1,0", "--class", "4,-8"], heavy),
+        (["scroll", "support", "--d", "13,9,0", "--class", "4,-40"], heavy),
+        (["scroll", "intersect", "--d", "5,1,0", "--classes", "1,0;1,0;1,0"], heavy),
+        (["surface", "split", "--e", "4", "--class", "4,12"], heavy),
+        (["k3", "chain", "--m", "5"], heavy),
+        (["wps", "hilbert", "--weights", "1,1,1,2,3", "--degrees", "6", "--max", "6"], heavy),
+        (["wps", "infer", "--series", "1,3,7,14,25,41,63"], heavy),
+        (["blowup", "degree", "--ambient", "8", "--curve", "2", "--genus", "1"], heavy),
+        # the branch record and the table need neither the report nor the JSON layer
+        (["cover", "analyze", "--m", "5"], {"fanobase.classify", "fanobase.report", "json"}),
+        (["classify", "enumerate"], {"fanobase.report", "json"}),
+        # the report is built, and rendered as text without json
+        (["verify-paper"], {"json"}),
     ):
         loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
-        assert not heavy & loaded, (argv, heavy & loaded)
-    # `cover analyze` text renders the branch record without the report or JSON layer
-    loaded = _cold_import("from fanobase.cli import main; "
-                          "assert main(['cover', 'analyze', '--m', '5']) == 0")
-    assert not {"fanobase.classify", "fanobase.report", "json"} & loaded
+        assert not absent & loaded, (argv, absent & loaded)
