@@ -199,11 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="print the output record as JSON")
 
-    def group(name: str, help: str):
-        return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_op", required=True)
+    def group(name: str, description: str):
+        parent = sub.add_parser(name, help=description)
+        return parent.add_subparsers(dest=f"{name}_op", required=True)
 
-    def leaf(parent, name: str, help: str, func, render):
-        q = parent.add_parser(name, help=help, parents=[common])
+    def leaf(parent, name: str, description: str, func, render):
+        q = parent.add_parser(name, help=description, parents=[common])
         q.set_defaults(func=func, render=render)
         return q
 
