@@ -22,8 +22,9 @@ from .scroll import DivisorClass, Scroll, h0, intersect, monomial_support, suppo
 # report and json load only for --json (and report for verify-paper, which
 # builds one).  scroll stays here for the argparse types.
 
-# largest support `scroll support` prints, one line per monomial
-SUPPORT_LIMIT = 10**6
+# most exponents `scroll support` prints, a monomial counted as max(rank, 3) of
+# them: ranks 2 and 3 print up to 10**6 monomials, one line each
+SUPPORT_LIMIT = 3 * 10**6
 # largest truncation degree `wps hilbert` expands, one coefficient per degree
 HILBERT_LIMIT = 10**5
 
@@ -103,11 +104,11 @@ def _cmd_h0(args) -> dict:
 
 def _cmd_support(args) -> dict:
     scroll = Scroll(args.d)
-    size = support_size(scroll, args.klass)
-    if size > SUPPORT_LIMIT:
+    size, width = support_size(scroll, args.klass), max(scroll.rank, 3)
+    if size * width > SUPPORT_LIMIT:
         raise FanobaseError(
             f"the support of {args.klass} on {scroll!r} has {size} monomials, "
-            f"more than the {SUPPORT_LIMIT} this command prints"
+            f"more than the {SUPPORT_LIMIT // width} this command prints"
         )
     return {"support": sorted(monomial_support(scroll, args.klass), reverse=True)}
 

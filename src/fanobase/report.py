@@ -9,7 +9,6 @@ indentation), so a parsed report re-serializes to the identical byte string.
 from enum import Enum
 from fractions import Fraction
 
-from .classify import case_checks, enumerate_cases
 from .errors import FanobaseError, Value, require_integers
 
 
@@ -75,6 +74,7 @@ def build_report(version: str, max_degree: int | None = None) -> Report:
     Raises FanobaseError for a cap that is not an integer or that no case
     meets, so a capped report never comes out empty and all green.
     """
+    from .classify import case_checks, enumerate_cases  # here, so --json alone loads no classify
     cases = enumerate_cases()
     if max_degree is not None:
         require_integers("a maximum degree", (max_degree,))

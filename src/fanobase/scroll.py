@@ -17,12 +17,13 @@ Conventions, fixed once for the whole package:
   fiberwise monomial x^e (|e| = h) in a member of ``(h, f)`` is a
   polynomial of degree ``e . d + f`` on the line, hence contributes
   ``max(0, e . d + f + 1)`` to h^0.  The support, the x^e with
-  ``e . d + f >= 0``, is filled depth first from the exponent range
-  below for :func:`monomial_support`, the last three coordinates in one
-  comprehension (e_(n-2) over its range, e_(n-1) from its closed-form
-  least value up to the rest of the degree, e_n what is left); no
-  exponent vector outside it is visited, so the cost is linear in the
-  output.
+  ``e . d + f >= 0``, is filled depth first from a stack of classes for
+  :func:`monomial_support`, one exponent range (below) per class, the
+  last three coordinates in one comprehension (e_(n-2) over its range,
+  e_(n-1) from its closed-form least value up to the rest of the
+  degree, e_n what is left) and a class of degree 0 as its one
+  monomial; no exponent vector outside it is visited, so the cost is
+  linear in the output.
 * The exponent range.  With e_i = k fixed, the heaviest monomial puts
   the other h - k on D, the largest twist other than d_i, so k occurs
   in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
@@ -31,19 +32,21 @@ Conventions, fixed once for the whole package:
   fiber and fixed-component multiplicities read off its two ends, and
   each valid e_1 = k leaves the non-empty system (h - k, f + k*d1) on
   F(d2, ..., dn), whose support is generated the same way.
-* The band split counts the support without visiting it.  When
-  f + h*dn >= 0 every monomial is in the support and h^0 is the
-  Riemann-Roch value C(h+n-1, n-1)*(f+1) + delta*C(h+n-1, n).
-  Otherwise the x_1-exponents k of the exponent range split at
+* The band split counts the support without visiting it.  Riemann-Roch
+  over the monomials of degree h with lo <= e_1 <= hi is one closed
+  form: with j = h - e_1 and r = n - 1 the rest has C(j+r-1, r-1)
+  monomials of total weight (f + h*d1 + 1)*C(j+r-1, r-1)
+  + (delta - n*d1)*C(j+r-1, r), and the hockey-stick identity sums each
+  binomial over j with two binomials.  When f + h*dn >= 0 every
+  monomial is in the support and h^0 is that sum over 0..h.  Otherwise
+  the x_1-exponents k of the exponent range split at
   k_t = ceil((-f - h*dn) / (d1 - dn)): from k_t on, the rest
-  (h - k, f + k*d1) on F(d2, ..., dn) is in that regime, so its count
-  is a polynomial p of degree n - 1 in k, summed over N values from a
-  by forward differences, sum_i Delta^i p(a) * C(N, i+1); only the band
-  below k_t recurses, and only down to rank 3.  At rank 2 the exponent
-  range is the support and the weights form one arithmetic series.  At
-  rank 3 the rest of each k in the band lacks its x_2-exponents below
-  j0(k) = ceil((-f - h*d3 - k*(d1 - d3)) / (d2 - d3)), so the count is
-  the Riemann-Roch sum over the whole range minus a deficit that is a
+  (h - k, f + k*d1) on F(d2, ..., dn) is in that regime, so the range
+  sum counts k_t..hi; only the rests of the band below k_t are walked,
+  popped from a stack, and only down to rank 3.  At rank 2 the band is
+  empty.  At rank 3 the rest of each k in the band lacks its
+  x_2-exponents below j0(k) = ceil((-f - h*d3 - k*(d1 - d3)) / (d2 - d3)),
+  so the count is the range sum over lo..hi minus a deficit that is a
   polynomial in k and j0(k); with k = k_t - 1 - x, j0 is the floor of a
   linear function of x, and the band sums of j0, x*j0 and j0^2 are
   Euclid-style floor sums in O(log) steps.  With 1 in place of
@@ -99,7 +102,7 @@ INFINITE = _Infinite()
 # Each level of the bound is at most h + 1 exponents, so every class with
 # h <= 40 up to rank 6 (the scroll-ladder benchmark draws ranks 4-6,
 # h <= 40, twists -2..12) stays under it: 41**3 = 68 921.  A walk at the
-# budget takes about 1.4 s (14 us per closed form, 2 vCPU Xeon, Python 3.11).
+# budget takes about 0.7 s (7 us per closed form, 2 vCPU Xeon, Python 3.11).
 WALK_BUDGET = 10**5
 
 
@@ -170,7 +173,7 @@ class Scroll(Value):
 
 def _exponent_range(d: tuple, h: int, f: int, i: int):
     """Least and greatest k = e_i with g(k) >= 0 on F(d) (module docstring); None if none, as for h < 0."""
-    big = max(d[:i - 1] + d[i:])
+    big = d[1] if i == 1 else d[0]  # the largest twist other than d_i, d non-increasing
     g0, slope = h * big + f, d[i - 1] - big
     lo, hi = 0, h
     if slope > 0:
@@ -182,33 +185,38 @@ def _exponent_range(d: tuple, h: int, f: int, i: int):
     return (lo, hi) if lo <= hi else None
 
 
-def _fill(out: set, prefix: tuple, d: tuple, h: int, f: int) -> None:
-    """Add prefix + e to ``out`` for each e in the support of ``|(h, f)|`` on F(d), d non-increasing, len(d) >= 2.
+def _fill(d: tuple, h: int, f: int) -> set:
+    """The support of ``|(h, f)|`` on F(d), d non-increasing, len(d) >= 2; empty when h < 0.
 
-    Depth first, one x_1-exponent range per level, down to the last three
-    exponents (module docstring).  Nothing when h < 0.
+    Depth first from a stack, one x_1-exponent range per class (module
+    docstring).  Each class pushed is non-empty and, if of degree >= 1,
+    has a child of degree 0, a monomial: the pops are at most twice the output.
     """
-    span = _exponent_range(d, h, f, 1)
-    if span is None:
-        return
-    lo, hi = span
-    if len(d) == 2:
-        out.update([prefix + (k, h - k) for k in range(lo, hi + 1)])
-        return
-    if len(d) == 3:
-        d1, d2, d3 = d
-        # k = e_(n-1) runs from its least value in the support of (r, f + j*d1) on F(d2, d3)
-        # up to r; a tie d2 = d3 leaves every k (the range made the rest non-empty)
-        out.update([
-            prefix + (j, k, r - k)
-            for j in range(lo, hi + 1)
-            for r in (h - j,)
-            for k in range(max(0, -((f + j * d1 + r * d3) // (d2 - d3))) if d2 > d3 else 0, r + 1)
-        ])
-        return
-    d1, rest = d[0], d[1:]
-    for k in range(lo, hi + 1):
-        _fill(out, prefix + (k,), rest, h - k, f + k * d1)
+    out, stack = set(), [((), d, h, f)]
+    while stack:
+        prefix, d, h, f = stack.pop()
+        span = _exponent_range(d, h, f, 1)
+        if span is None:
+            continue
+        lo, hi = span
+        if len(d) == 2:
+            out.update([prefix + (k, h - k) for k in range(lo, hi + 1)])
+        elif len(d) == 3:
+            d1, d2, d3 = d
+            # k = e_(n-1) runs from its least value in the support of (r, f + j*d1) on F(d2, d3)
+            # up to r; a tie d2 = d3 leaves every k (the range made the rest non-empty)
+            out.update([
+                prefix + (j, k, r - k)
+                for j in range(lo, hi + 1)
+                for r in (h - j,)
+                for k in range(max(0, -((f + j * d1 + r * d3) // (d2 - d3))) if d2 > d3 else 0, r + 1)
+            ])
+        elif h == 0:
+            out.add(prefix + (0,) * len(d))
+        else:
+            d1, rest = d[0], d[1:]
+            stack.extend((prefix + (k,), rest, h - k, f + k * d1) for k in range(lo, hi + 1))
+    return out
 
 
 def _floor_sums(n: int, a: int, b: int, c: int) -> tuple:
@@ -241,54 +249,45 @@ def _floor_sums(n: int, a: int, b: int, c: int) -> tuple:
     return f, g, h
 
 
-def _chi(d: tuple, h: int, f: int, weighted: bool) -> int:
-    """Riemann-Roch: every monomial of degree h >= 0 on F(d) counted with e . d + f + 1 (weighted) or 1."""
-    n = len(d)
-    size = comb(h + n - 1, n - 1)
-    return size * (f + 1) + sum(d) * comb(h + n - 1, n) if weighted else size
+def _range_sum(d: tuple, h: int, f: int, a: int, b: int, weighted: bool) -> int:
+    """Riemann-Roch over the degree-h monomials on F(d) with 0 <= a <= e_1 <= b <= h (module docstring)."""
+    r, d1 = len(d) - 1, d[0]
+    size = comb(h - a + r, r) - comb(h - b + r - 1, r)
+    return size * (f + h * d1 + 1) + (sum(d) - (r + 1) * d1) * (
+        comb(h - a + r, r + 1) - comb(h - b + r - 1, r + 1)) if weighted else size
 
 
 def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
     """Sum of e . d + f + 1 (weighted) or of 1 over the support of ``|(h, f)|`` on F(d), d non-increasing.
 
-    The band split of the module docstring; 0 when h < 0.
+    The band split of the module docstring, the rests of each band popped
+    from a stack; 0 when h < 0.  Only the class asked has rank len(d), and
+    only its walk is bounded (:func:`_walk_bound`).
     """
     if h < 0:
         return 0
-    n, dn = len(d), d[-1]
-    if f + h * dn >= 0:
-        return _chi(d, h, f, weighted)
-    span = _exponent_range(d, h, f, 1)
-    if span is None:
-        return 0
-    lo, hi = span
-    d1, rest = d[0], d[1:]
-    if n == 2:
-        # the range is the support; the weight k*(d1 - d2) + h*d2 + f + 1 is an arithmetic series
-        size = hi + 1 - lo
-        return ((lo + hi) * (d1 - dn) + 2 * (h * dn + f + 1)) * size // 2 if weighted else size
-    # d1 > dn here (equal twists give an empty or a Riemann-Roch system)
-    k_t = max(lo, -((f + h * dn) // (d1 - dn)))
-    if n == 3:
-        # sum chi of the rest from lo on and subtract its deficit over the band (module docstring)
-        start, total = lo, (-_band_deficit(d, h, f, lo, k_t, weighted) if k_t > lo else 0)
-    else:
-        bound = _walk_bound(d, h, f, lo, k_t)
+    rank, total, stack = len(d), 0, [(d, h, f)]
+    while stack:
+        d, h, f = stack.pop()
+        d1, dn, rest = d[0], d[-1], d[1:]
+        if f + h * dn >= 0:
+            total += _range_sum(d, h, f, 0, h, weighted)
+            continue
+        span = _exponent_range(d, h, f, 1)
+        if span is None:
+            continue
+        # d1 > dn here (equal twists give an empty or a Riemann-Roch system)
+        (lo, hi), k_t = span, max(span[0], -((f + h * dn) // (d1 - dn)))
+        if len(d) <= 3:  # the whole range less the band's deficit (module docstring)
+            total += _range_sum(d, h, f, lo, hi, weighted) - (
+                _band_deficit(d, h, f, lo, k_t, weighted) if k_t > lo else 0)
+            continue
+        bound = _walk_bound(d, h, f, lo, k_t) if len(d) == rank else 0
         if bound > WALK_BUDGET:
-            raise BandTooWide(
-                f"counting ({h}, {f}) on F({','.join(map(str, d))}) may evaluate {bound} "
-                f"rank-3 closed forms, over the budget of {WALK_BUDGET}"
-            )
-        start, total = k_t, sum(_count(rest, h - k, f + k * d1, weighted) for k in range(lo, k_t))
-    # from `start` on, chi of the rest is a polynomial of degree < n in k: sum it
-    # directly when it has at most n terms, otherwise by forward differences
-    tail = hi + 1 - start
-    values = [_chi(rest, h - k, f + k * d1, weighted) for k in range(start, start + min(tail, n))]
-    if tail <= n:
-        return total + sum(values)
-    for i in range(n):
-        total += values[0] * comb(tail, i + 1)
-        values = [b - a for a, b in zip(values, values[1:])]
+            raise BandTooWide(f"counting ({h}, {f}) on F({','.join(map(str, d))}) may evaluate "
+                              f"{bound} rank-3 closed forms, over the budget of {WALK_BUDGET}")
+        total += _range_sum(d, h, f, k_t, hi, weighted)
+        stack.extend((rest, h - k, f + k * d1) for k in range(lo, k_t))
     return total
 
 
@@ -300,7 +299,11 @@ def _walk_bound(d: tuple, h: int, f: int, lo: int, k_t: int) -> int:
     exponent taken lowers P by k*(d_i - dn) >= 0.  So the band of a level
     whose largest twist is d_j > dn spans at most
     min(h - lo + 1, ceil(p / (d_j - dn))) exponents, and the bound is
-    k_t - lo times these widths (at least 1 each) down to rank 4.
+    k_t - lo times these widths (at least 1 each) down to rank 4.  It is
+    checked once, on the class asked: a class on the first level has band
+    width at most ceil(p / (d2 - dn)), degree at most h - lo and its own p
+    at most p, so each factor of its bound is at most the matching factor
+    here, and its bound at most this one over k_t - lo >= 1; so on down.
     """
     dn = d[-1]
     p = -f - h * dn - lo * (d[0] - dn)
@@ -312,7 +315,7 @@ def _walk_bound(d: tuple, h: int, f: int, lo: int, k_t: int) -> int:
 
 
 def _band_deficit(d: tuple, h: int, f: int, lo: int, k_t: int, weighted: bool) -> int:
-    """Chi minus count of the rest (h - k, f + k*d1) on F(d2, d3), summed over the band lo <= k < k_t.
+    """Range sum minus count of the rest (h - k, f + k*d1) on F(d2, d3), summed over the band lo <= k < k_t.
 
     In the band the rest misses exactly its x_2-exponents j < j0(k) =
     ceil(P(k) / (d2 - d3)), P(k) = -f - h*d3 - k*(d1 - d3) >= 1, and the
@@ -331,13 +334,11 @@ def _band_deficit(d: tuple, h: int, f: int, lo: int, k_t: int, weighted: bool) -
 def h0(s: Scroll, c: DivisorClass) -> int:
     """Dimension of the space of sections of the class ``c`` on ``s``.
 
-    The sum of e . d + c.f + 1 over the support (module docstring), by
-    the band split: the Riemann-Roch closed form when c.f + c.h*dn >= 0;
-    otherwise a recursion over the x_1-exponents below k_t and, above it,
-    a forward-difference sum of the rest's count, a polynomial of degree
-    n - 1 in the exponent.  The recursion stops at rank 3, where the band
-    is summed by floor sums, so up to rank 3 the cost is logarithmic in
-    the numbers; from rank 4 on it follows the width of the band, not the
+    The sum of e . d + c.f + 1 over the support, by the band split of the
+    module docstring: Riemann-Roch range sums in closed form, and the
+    rests of each band popped from a stack down to rank 3, where the band
+    is summed by floor sums.  Up to rank 3 the cost is logarithmic in the
+    numbers; from rank 4 on it follows the width of the band, not the
     number of monomials, and a walk that may take more than WALK_BUDGET
     rank-3 closed forms raises BandTooWide before it starts.  Returns 0
     for negative fiberwise degree.
@@ -361,9 +362,7 @@ def monomial_support(s: Scroll, c: DivisorClass) -> set:
     """
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
-    out = set()
-    _fill(out, (), s.twists, c.h, c.f)
-    return out
+    return _fill(s.twists, c.h, c.f)
 
 
 def intersect(s: Scroll, classes) -> int:

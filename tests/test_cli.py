@@ -130,6 +130,11 @@ def test_large_degree_answers_promptly(capsys):
     assert code == 0 and out == "1000003500003500001\n"
 
 
+def _chain(n: int) -> str:
+    """The twists 2,1,...,1,0 of F(2, 1, ..., 1, 0) with n summands."""
+    return ",".join(["2"] + ["1"] * (n - 2) + ["0"])
+
+
 def test_scroll_support_refuses_large_output(capsys):
     code, out, err = run(capsys, "scroll", "support", "--d", "5,1,0", "--class", "1000000,0")
     assert code == 3 and out == ""
@@ -137,6 +142,22 @@ def test_scroll_support_refuses_large_output(capsys):
     # one monomial over the bound of 10**6
     code, _, err = run(capsys, "scroll", "support", "--d", "0,0", "--class", "1000000,0")
     assert code == 3 and "1000001 monomials" in err
+
+
+def test_scroll_support_bounds_exponents_from_rank_four(capsys):
+    # 3 * 10**6 exponents, rank many per monomial: (2, -3) on F(2, 1, ..., 1, 0) has
+    # n - 1 monomials, 1731 * 1732 under the bound and 1732 * 1733 over it
+    code, out, err = run(capsys, "scroll", "support", "--d", _chain(1733), "--class=2,-3")
+    assert code == 3 and out == ""
+    assert "1732 monomials, more than the 1731 this command prints" in err
+    code, out, _ = run(capsys, "scroll", "support", "--d", _chain(1732), "--class=2,-3")
+    assert code == 0 and len(out.splitlines()) == 1731
+
+
+def test_scroll_h0_at_rank_600(capsys):
+    # (2, -3) on F(2, 1, ..., 1, 0): h0 is the rank, with no recursion limit in the way
+    code, out, err = run(capsys, "scroll", "h0", "--d", _chain(600), "--class=2,-3")
+    assert code == 0 and out == "600\n" and err == ""
 
 
 def test_k3_chain(capsys):

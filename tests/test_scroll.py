@@ -8,9 +8,12 @@ without generating it, so the routes share no code.  Serre duality on
 the line (h0 = chi + h1) and a count of exponent vectors by weight are
 further routes for h0, the latter fast enough for classes with about
 10**8 exponent vectors.  The band walk, the band split as it stood
-before ranks 2 and 3 were summed in closed form, checks the floor-sum
-route on bands of about 10**4 exponents, and direct sums check the
-floor-sum helper itself.  The full expansion of the intersection
+before ranks 2 and 3 were summed in closed form, recursing and summing
+each tail by forward differences, checks the range sums and the
+floor-sum route on bands of about 10**4 exponents, and direct sums
+check the floor-sum helper itself.  Call counts, not timings, check
+that the walk bound is taken once and that the depths stay within
+their bounds.  The full expansion of the intersection
 product, one term per class, checks its one-pass recurrence, and ``h0``
 checks the closed-form rigidity test of the fixed-component count.
 """
@@ -459,19 +462,21 @@ def test_large_classes_answer_promptly():
 
 
 def _count_closed_forms(monkeypatch) -> list:
-    """Patch ``_count`` to append, per rank-4 walk, the rank-3 closed forms it evaluates."""
+    """Patch ``_exponent_range`` to append, per rank-4 class of a walk, the rank-3 closed forms it evaluates.
+
+    A count reads the x_1-range (i = 1) of each class it pops once, and a
+    rank-4 class outside the Riemann-Roch regime walks k_t - lo rank-3 rests.
+    """
     calls = []
-    count = scroll_module._count
+    exponent_range = scroll_module._exponent_range
 
-    def counting(d, h, f, weighted):
-        if len(d) == 4 and h >= 0 and f + h * d[-1] < 0:
-            span = scroll_module._exponent_range(d, h, f, 1)
-            if span is not None:
-                k_t = max(span[0], -((f + h * d[-1]) // (d[0] - d[-1])))
-                calls.append(k_t - span[0])
-        return count(d, h, f, weighted)
+    def counting(d, h, f, i):
+        span = exponent_range(d, h, f, i)
+        if len(d) == 4 and i == 1 and span is not None and f + h * d[-1] < 0:
+            calls.append(max(span[0], -((f + h * d[-1]) // (d[0] - d[-1]))) - span[0])
+        return span
 
-    monkeypatch.setattr(scroll_module, "_count", counting)
+    monkeypatch.setattr(scroll_module, "_exponent_range", counting)
     return calls
 
 
@@ -494,11 +499,12 @@ def test_walk_bound_covers_the_walk(monkeypatch):
         f = -h * rng.randint(d[-1], d[0]) - rng.randint(0, 3)
         calls.clear()
         assert h0(Scroll(d), C(h, f)) == band_walk_count(tuple(d), h, f, True), (d, h, f)
+        walk = list(calls)  # before the probe below adds its own rank-4 ranges
         span = scroll_module._exponent_range(tuple(d), h, f, 1)
-        if calls and span is not None:
+        if walk and span is not None:
             lo, k_t = _band(tuple(d), h, f)
-            assert sum(calls) <= _walk_bound(tuple(d), h, f, lo, k_t), (d, h, f)
-            walked += sum(calls) > 0
+            assert sum(walk) <= _walk_bound(tuple(d), h, f, lo, k_t), (d, h, f)
+            walked += sum(walk) > 0
     assert walked >= 20
 
 
@@ -540,6 +546,131 @@ def test_wide_rank_four_walk_is_refused():
         lo, k_t = _band(d, 40, f)
         assert 0 < _walk_bound(d, 40, f, lo, k_t) <= 41**3 < WALK_BUDGET
         assert h0(Scroll(d), C(40, f)) == weight_count_h0(d, 40, f), (d, f)
+
+
+def test_walk_bound_is_checked_once_on_the_class_asked(monkeypatch):
+    # every class deeper in a rank 4-7 walk has a bound at most the top one
+    # (docstring of _walk_bound), so one check per count covers the whole walk
+    rng = random.Random(20261201)
+    walk_bound, exponent_range = scroll_module._walk_bound, scroll_module._exponent_range
+    checked, bounds = [], []
+
+    def bounding(d, h, f, lo, k_t):
+        checked.append(len(d))
+        return walk_bound(d, h, f, lo, k_t)
+
+    def ranging(d, h, f, i):
+        span = exponent_range(d, h, f, i)
+        if len(d) >= 4 and i == 1 and span is not None and f + h * d[-1] < 0:
+            bounds.append(walk_bound(d, h, f, span[0], max(span[0], -((f + h * d[-1]) // (d[0] - d[-1])))))
+        return span
+
+    monkeypatch.setattr(scroll_module, "_walk_bound", bounding)
+    monkeypatch.setattr(scroll_module, "_exponent_range", ranging)
+    deep = 0
+    for _ in range(150):
+        n = rng.randint(4, 7)
+        d = tuple(sorted((rng.randint(-2, 9) for _ in range(n)), reverse=True))
+        h = rng.randint(0, 10 if n < 6 else 6)
+        f = -h * rng.randint(d[-1], d[0]) - rng.randint(0, 3)
+        for weighted, count in ((True, h0), (False, support_size)):
+            checked.clear()
+            bounds.clear()
+            assert count(Scroll(d), C(h, f)) == band_walk_count(d, h, f, weighted), (d, h, f)
+            assert checked == ([n] if bounds else []), (d, h, f)
+            assert max(bounds[1:], default=0) <= max(bounds[:1], default=0), (d, h, f, bounds)
+            deep += len(bounds) > 1
+    assert deep >= 100
+
+
+def _chain(n: int) -> Scroll:
+    """F(2, 1, ..., 1, 0) with n twists."""
+    return Scroll((2,) + (1,) * (n - 2) + (0,))
+
+
+@pytest.mark.parametrize("n", [600, 2000, 5000])
+def test_long_chain_has_no_recursion_limit(n):
+    # hand count of (2, -3): the support is x_1^2, of weight 2, and x_1*x_j, of
+    # weight 1, for each middle j; the walk goes down one rank per level
+    s, c = _chain(n), C(2, -3)
+    assert h0(s, c) == n and support_size(s, c) == n - 1
+    if n <= 2000:  # at rank 5000 the support alone holds 25 million exponents
+        middle = {(1,) + (0,) * (j - 1) + (1,) + (0,) * (n - j - 1) for j in range(1, n - 1)}
+        assert monomial_support(s, c) == {(2,) + (0,) * (n - 1)} | middle
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_long_empty_band_answers_in_closed_form(n):
+    # O(10**6) - F on F(1, 0, ..., 0): each monomial weighs e_1, summed C(h + n - 1, n)
+    h = 10**6
+    assert h0(Scroll((1,) + (0,) * (n - 1)), C(h, -1)) == comb(h + n - 1, n)
+
+
+def test_chain_walks_read_one_range_per_class(monkeypatch):
+    # the count pops at most one class per rank, the support walk at most two per monomial
+    calls = []
+    exponent_range = scroll_module._exponent_range
+
+    def ranging(d, h, f, i):
+        calls.append(len(d))
+        return exponent_range(d, h, f, i)
+
+    monkeypatch.setattr(scroll_module, "_exponent_range", ranging)
+    assert h0(_chain(5000), C(2, -3)) == 5000
+    assert 0 < len(calls) <= 5000
+    calls.clear()
+    assert len(monomial_support(_chain(600), C(2, -3))) == 599
+    assert 0 < len(calls) <= 2 * 599
+
+
+def test_floor_sum_levels_grow_linearly_in_the_digits(monkeypatch):
+    # each Euclid level of _floor_sums takes two divmods; consecutive Fibonacci
+    # twists make the longest chain, random rank-3 classes a typical one
+    divmods = []
+
+    def counting(a, b):
+        divmods.append(1)
+        return divmod(a, b)
+
+    monkeypatch.setattr(scroll_module, "divmod", counting, raising=False)
+    rng = random.Random(20261202)
+    for digits in (10, 30, 100, 300):
+        k = digits * 4785 // 1000
+        classes = [((_fibonacci(k + 1), _fibonacci(k), 0), 10**digits, -(10**digits * _fibonacci(k) // 2))]
+        for _ in range(20):
+            d = sorted((rng.randrange(10**digits) for _ in range(3)), reverse=True)
+            h = rng.randrange(10**digits)
+            classes.append((d, h, -h * rng.randint(d[2], d[0])))
+        most = 0
+        for d, h, f in classes:
+            divmods.clear()
+            h0(Scroll(d), C(h, f))
+            assert max(len(str(abs(v))) for v in (*d, h)) <= digits + 1
+            most = max(most, len(divmods) // 2)
+        assert digits < most <= 5 * digits + 10, (digits, most)
+
+
+def test_multiplicities_reach_no_count(monkeypatch):
+    # the fiber and fixed-component multiplicities and the cover pipeline read
+    # exponent ranges only: no section count behind them
+    counts = []
+    count = scroll_module._count
+    monkeypatch.setattr(scroll_module, "_count", lambda *args: counts.append(args) or count(*args))
+    rng = random.Random(20261203)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        d = sorted((rng.randint(-3, 9) for _ in range(n)), reverse=True)
+        h = rng.randint(0, 12)
+        c = C(h, -h * rng.randint(d[-1], d[0]) - rng.randint(0, 3))
+        for i in range(1, n + 1):
+            fiber_multiplicity_at(Scroll(d), c, i)
+        if d[0] > d[1] and scroll_module._exponent_range(tuple(d), c.h, c.f, 1) is not None:
+            fixed_component_multiplicity(Scroll(d), C(1, -d[0]), c)
+    for m in range(3, 41):
+        analyze_cover(m)
+    assert counts == []
+    h0(Scroll(5, 1, 0), C(4, -8))  # the probe sees a count
+    assert len(counts) == 1
 
 
 def test_weight_count_route_agrees_with_oracle():

@@ -270,3 +270,11 @@ def test_cli_import_loads_no_dataclasses():
     ):
         loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
         assert not absent & loaded, (argv, absent & loaded)
+
+
+def test_json_output_loads_no_classify():
+    # --json needs report.to_json, not the classification report.build_report builds
+    argv = ["scroll", "h0", "--d", "5,1,0", "--class", "4,-8", "--json"]
+    loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
+    assert {"fanobase.report", "json"} <= loaded
+    assert "fanobase.classify" not in loaded
