@@ -34,11 +34,11 @@ _EXPORTS = {
         "branch_for_taut_anticanonical", "cover_degree",
     ),
     "errors": (
-        "ArityMismatch", "CheckFailure", "EmptySystem", "FanobaseError", "Inconsistent",
-        "IndexOutOfRange", "InvalidDegree", "InvalidM", "NegativeDegree", "NegativeTwist",
-        "NoSection", "NonIntegralChi", "NotEffectiveShape", "NotElephantShape", "NotRigid",
-        "OutOfRange", "RankMismatch", "SurfaceMismatch", "TooFewSummands", "WrongDimension",
-        "WrongRank", "WrongSurface",
+        "ArityMismatch", "BandTooWide", "CheckFailure", "EmptySystem", "FanobaseError",
+        "Inconsistent", "IndexOutOfRange", "InvalidDegree", "InvalidM", "ModelTooLarge",
+        "NegativeDegree", "NegativeTwist", "NoSection", "NonIntegralChi", "NotEffectiveShape",
+        "NotElephantShape", "NotRigid", "OutOfRange", "RankMismatch", "SurfaceMismatch",
+        "TooFewSummands", "WrongDimension", "WrongRank", "WrongSurface",
     ),
     "hirzebruch": (
         "SurfaceClass", "canonical_surface_class", "forced_minimal_decomposition",
@@ -52,7 +52,7 @@ _EXPORTS = {
     "scroll": (
         "INFINITE", "DivisorClass", "Scroll", "canonical_class", "fiber_multiplicity_at",
         "fixed_component_multiplicity", "h0", "intersect", "minimal_degree_data",
-        "monomial_support", "restrict_to_subscroll",
+        "monomial_support", "restrict_to_subscroll", "support_size",
     ),
     "wps": ("WeightedCI", "anticanonical_degree", "hilbert_coeffs", "infer_ring", "rr_chi"),
 }

@@ -7,7 +7,6 @@ indentation), so a parsed report re-serializes to the identical byte string.
 """
 
 from enum import Enum
-from fractions import Fraction
 
 from .errors import FanobaseError, Value, require_integers
 
@@ -59,6 +58,7 @@ def _jsonable(value):
     """Exact-integer JSON encoding; no floats ever appear in a report."""
     if isinstance(value, (int, str)):
         return value
+    from fractions import Fraction  # here, so a --json output that holds no Fraction loads no fractions
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, Enum):

@@ -37,19 +37,20 @@ Conventions, fixed once for the whole package:
   form: with j = h - e_1 and r = n - 1 the rest has C(j+r-1, r-1)
   monomials of total weight (f + h*d1 + 1)*C(j+r-1, r-1)
   + (delta - n*d1)*C(j+r-1, r), and the hockey-stick identity sums each
-  binomial over j with two binomials.  When f + h*dn >= 0 every
-  monomial is in the support and h^0 is that sum over 0..h.  Otherwise
-  the x_1-exponents k of the exponent range split at
-  k_t = ceil((-f - h*dn) / (d1 - dn)): from k_t on, the rest
-  (h - k, f + k*d1) on F(d2, ..., dn) is in that regime, so the range
-  sum counts k_t..hi; only the rests of the band below k_t are walked,
-  popped from a stack, and only down to rank 3.  At rank 2 the band is
-  empty.  At rank 3 the rest of each k in the band lacks its
-  x_2-exponents below j0(k) = ceil((-f - h*d3 - k*(d1 - d3)) / (d2 - d3)),
-  so the count is the range sum over lo..hi minus a deficit that is a
-  polynomial in k and j0(k); with k = k_t - 1 - x, j0 is the floor of a
-  linear function of x, and the band sums of j0, x*j0 and j0^2 are
-  Euclid-style floor sums in O(log) steps.  With 1 in place of
+  binomial over j with two binomials.  The exponent range lo..hi splits
+  at k_t = max(lo, ceil(P / (d1 - dn))), P = -f - h*dn: from k_t on,
+  the rest (h - k, f + k*d1) on F(d2, ..., dn) is in the Riemann-Roch
+  regime, every monomial in its support, so the range sum counts k_t..hi
+  and only the rests of the band lo..k_t - 1 are walked.  With P <= 0
+  the class itself is in that regime: k_t = lo = 0, the range 0..h and
+  an empty band; no rest on a walk is.  A walk pops (offset, h, f) on
+  d[offset:], twist sums taken once, from a stack down to rank 3.  At
+  rank 2 the band is empty.  At rank 3 the rest of each k in the band
+  lacks its x_2-exponents below j0(k) = ceil((-f - h*d3 - k*(d1 - d3))
+  / (d2 - d3)), so the count is the range sum over lo..hi minus a
+  deficit that is a polynomial in k and j0(k); with k = k_t - 1 - x, j0
+  is the floor of a linear function of x, and the band sums of j0, x*j0
+  and j0^2 are Euclid-style floor sums in O(log) steps.  With 1 in place of
   e . d + f + 1 the same split counts the support (:func:`support_size`).
 
 Negative twists are allowed (they occur for the degree-4 family at
@@ -59,6 +60,7 @@ the tautological map is a cone over a scroll only in that range.
 """
 
 from functools import total_ordering
+from itertools import accumulate
 from math import comb
 
 from .errors import (
@@ -237,11 +239,10 @@ def _floor_sums(n: int, a: int, b: int, c: int) -> tuple:
         levels.append((n, m, qa, qb))
         # q > i exactly for x > t(i) = (c*i + c - b - 1) // a, i = 0..m-1
         n, a, b, c = m, c, c - b - 1, a
-    f = g = h = 0  # the last level has m = 0: its reduced sums are 0
+    f = g = h = 0  # the last level has m = 0: its reduced sums are 0, and the update below keeps them 0
     for n, m, qa, qb in reversed(levels):
         s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
-        if m:
-            f, g, h = (n - 1) * m - f, (m * n * (n - 1) - h - f) // 2, (n - 1) * m * m - 2 * g - f
+        f, g, h = (n - 1) * m - f, (m * n * (n - 1) - h - f) // 2, (n - 1) * m * m - 2 * g - f
         # add back q's quotients qa*x + qb; h reads f and g before they change
         h += qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * g + 2 * qb * f
         f += qa * s1 + qb * n
@@ -249,45 +250,42 @@ def _floor_sums(n: int, a: int, b: int, c: int) -> tuple:
     return f, g, h
 
 
-def _range_sum(d: tuple, h: int, f: int, a: int, b: int, weighted: bool) -> int:
-    """Riemann-Roch over the degree-h monomials on F(d) with 0 <= a <= e_1 <= b <= h (module docstring)."""
-    r, d1 = len(d) - 1, d[0]
+def _range_sum(n: int, d1: int, delta: int, h: int, f: int, a: int, b: int, weighted: bool) -> int:
+    """Riemann-Roch over degree h, 0 <= a <= e_1 <= b <= h, on n twists of top d1 and sum delta (module docstring)."""
+    r = n - 1
     size = comb(h - a + r, r) - comb(h - b + r - 1, r)
-    return size * (f + h * d1 + 1) + (sum(d) - (r + 1) * d1) * (
+    return size * (f + h * d1 + 1) + (delta - n * d1) * (
         comb(h - a + r, r + 1) - comb(h - b + r - 1, r + 1)) if weighted else size
 
 
 def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
     """Sum of e . d + f + 1 (weighted) or of 1 over the support of ``|(h, f)|`` on F(d), d non-increasing.
 
-    The band split of the module docstring, the rests of each band popped
-    from a stack; 0 when h < 0.  Only the class asked has rank len(d), and
+    The band split of the module docstring.  A class is (offset, h, f) on
+    the twists d[offset:], whose sums are taken once; the rests of each
+    band are popped from a stack.  Only the class asked has offset 0, and
     only its walk is bounded (:func:`_walk_bound`).
     """
-    if h < 0:
-        return 0
-    rank, total, stack = len(d), 0, [(d, h, f)]
+    n, dn, total, stack = len(d), d[-1], 0, [(0, h, f)]
+    sums = list(accumulate(reversed(d)))[::-1]  # sums[i] = sum(d[i:])
     while stack:
-        d, h, f = stack.pop()
-        d1, dn, rest = d[0], d[-1], d[1:]
-        if f + h * dn >= 0:
-            total += _range_sum(d, h, f, 0, h, weighted)
-            continue
-        span = _exponent_range(d, h, f, 1)
+        i, h, f = stack.pop()
+        span = _exponent_range(d[i:i + 2], h, f, 1)
         if span is None:
             continue
-        # d1 > dn here (equal twists give an empty or a Riemann-Roch system)
-        (lo, hi), k_t = span, max(span[0], -((f + h * dn) // (d1 - dn)))
-        if len(d) <= 3:  # the whole range less the band's deficit (module docstring)
-            total += _range_sum(d, h, f, lo, hi, weighted) - (
-                _band_deficit(d, h, f, lo, k_t, weighted) if k_t > lo else 0)
+        # P <= 0 (the Riemann-Roch regime) only for the class asked, with k_t = lo; d1 > dn when P > 0
+        (lo, hi), d1, p = span, d[i], -f - h * dn
+        k_t = max(lo, -(-p // (d1 - dn))) if p > 0 else lo
+        if n - i <= 3:  # the whole range less the band's deficit (module docstring)
+            total += _range_sum(n - i, d1, sums[i], h, f, lo, hi, weighted) - (
+                _band_deficit(d[i:], h, f, lo, k_t, weighted) if k_t > lo else 0)
             continue
-        bound = _walk_bound(d, h, f, lo, k_t) if len(d) == rank else 0
+        bound = _walk_bound(d, h, f, lo, k_t) if p > 0 and not i else 0
         if bound > WALK_BUDGET:
             raise BandTooWide(f"counting ({h}, {f}) on F({','.join(map(str, d))}) may evaluate "
                               f"{bound} rank-3 closed forms, over the budget of {WALK_BUDGET}")
-        total += _range_sum(d, h, f, k_t, hi, weighted)
-        stack.extend((rest, h - k, f + k * d1) for k in range(lo, k_t))
+        total += _range_sum(n - i, d1, sums[i], h, f, k_t, hi, weighted)
+        stack.extend((i + 1, h - k, f + k * d1) for k in range(lo, k_t))
     return total
 
 
@@ -335,9 +333,10 @@ def h0(s: Scroll, c: DivisorClass) -> int:
     """Dimension of the space of sections of the class ``c`` on ``s``.
 
     The sum of e . d + c.f + 1 over the support, by the band split of the
-    module docstring: Riemann-Roch range sums in closed form, and the
-    rests of each band popped from a stack down to rank 3, where the band
-    is summed by floor sums.  Up to rank 3 the cost is logarithmic in the
+    module docstring: Riemann-Roch range sums in closed form (0..h with an
+    empty band when k_t = lo), and the rests of each band popped from a
+    stack as offsets into the twists down to rank 3, where the band is
+    summed by floor sums.  Up to rank 3 the cost is logarithmic in the
     numbers; from rank 4 on it follows the width of the band, not the
     number of monomials, and a walk that may take more than WALK_BUDGET
     rank-3 closed forms raises BandTooWide before it starts.  Returns 0
@@ -414,17 +413,21 @@ def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClas
     the largest, so h^0 = 1 exactly when comp = (k, -k*d1) with k >= 1
     and d1 > d2 (a tie, or f > -k*d1, gives h^0 >= 2; f < -k*d1 gives 0;
     h = 0 gives f + 1).  ``h0`` is computed only for the NotRigid
-    message.  The one section of comp is x_1^k, and multiplying by it
-    maps H^0(sys - comp) onto the span of the support monomials with
-    e_1 >= k, so comp is fixed mu times exactly when every support
-    monomial has e_1 >= mu*k: mu is the least x_1-exponent over the
-    support, floor-divided by k.
+    message, h0 >= 2 where that count is refused.  The one section of
+    comp is x_1^k, and multiplying by it maps H^0(sys - comp) onto the
+    span of the support monomials with e_1 >= k, so comp is fixed mu
+    times exactly when every support monomial has e_1 >= mu*k: mu is the
+    least x_1-exponent over the support, floor-divided by k.
     """
     k, d = comp.h, s.twists
     if k < 1 or comp.f != -k * d[0] or d[0] == d[1]:
         if k == 0 and comp.f == 0:
             raise NotRigid(f"the trivial class {comp} is contained in every system any number of times")
-        raise NotRigid(f"component {comp} on {s!r} has h0 = {h0(s, comp)}, need 1")
+        try:  # a refused count is of a non-empty class, and the closed form rules out h0 = 1
+            has = f"= {h0(s, comp)}"
+        except BandTooWide:
+            has = ">= 2"
+        raise NotRigid(f"component {comp} on {s!r} has h0 {has}, need 1")
     span = _exponent_range(d, sys.h, sys.f, 1)
     if span is None:
         raise EmptySystem(f"system {sys} on {s!r} is empty")

@@ -174,9 +174,6 @@ def infer_ring(seq):
             raise ModelTooLarge(
                 f"degree {d}: the model would grow past {MODEL_LIMIT} generators and relations"
             )
-        if delta > 0:
-            gens.extend([d] * delta)
-        elif delta < 0:
-            rels.extend([d] * (-delta))
+        (gens if delta > 0 else rels).extend([d] * abs(delta))
     assert _series(gens, rels, n_max) == seq
     return tuple(gens), tuple(rels)

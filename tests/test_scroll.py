@@ -462,21 +462,26 @@ def test_large_classes_answer_promptly():
 
 
 def _count_closed_forms(monkeypatch) -> list:
-    """Patch ``_exponent_range`` to append, per rank-4 class of a walk, the rank-3 closed forms it evaluates.
+    """Patch ``_range_sum`` to append, per rank-4 class that walks a band, the rank-3 closed forms it evaluates.
 
-    A count reads the x_1-range (i = 1) of each class it pops once, and a
-    rank-4 class outside the Riemann-Roch regime walks k_t - lo rank-3 rests.
+    A count reads the x_1-range of each class it pops, then takes the
+    range sum over k_t..hi at the class's rank, so a rank-4 class walks
+    k_t - lo rank-3 rests, lo from the ``_exponent_range`` call before.
     """
-    calls = []
-    exponent_range = scroll_module._exponent_range
+    calls, spans = [], []
+    exponent_range, range_sum = scroll_module._exponent_range, scroll_module._range_sum
 
-    def counting(d, h, f, i):
-        span = exponent_range(d, h, f, i)
-        if len(d) == 4 and i == 1 and span is not None and f + h * d[-1] < 0:
-            calls.append(max(span[0], -((f + h * d[-1]) // (d[0] - d[-1]))) - span[0])
-        return span
+    def ranging(d, h, f, i):
+        spans.append(exponent_range(d, h, f, i))
+        return spans[-1]
 
-    monkeypatch.setattr(scroll_module, "_exponent_range", counting)
+    def summing(n, d1, delta, h, f, a, b, weighted):
+        if n == 4 and a > spans[-1][0]:
+            calls.append(a - spans[-1][0])
+        return range_sum(n, d1, delta, h, f, a, b, weighted)
+
+    monkeypatch.setattr(scroll_module, "_exponent_range", ranging)
+    monkeypatch.setattr(scroll_module, "_range_sum", summing)
     return calls
 
 
@@ -553,20 +558,27 @@ def test_walk_bound_is_checked_once_on_the_class_asked(monkeypatch):
     # (docstring of _walk_bound), so one check per count covers the whole walk
     rng = random.Random(20261201)
     walk_bound, exponent_range = scroll_module._walk_bound, scroll_module._exponent_range
-    checked, bounds = [], []
+    range_sum = scroll_module._range_sum
+    checked, bounds, spans = [], [], []
 
     def bounding(d, h, f, lo, k_t):
         checked.append(len(d))
         return walk_bound(d, h, f, lo, k_t)
 
     def ranging(d, h, f, i):
-        span = exponent_range(d, h, f, i)
-        if len(d) >= 4 and i == 1 and span is not None and f + h * d[-1] < 0:
-            bounds.append(walk_bound(d, h, f, span[0], max(span[0], -((f + h * d[-1]) // (d[0] - d[-1])))))
-        return span
+        spans.append(exponent_range(d, h, f, i))
+        return spans[-1]
+
+    def summing(n, d1, delta, h, f, a, b, weighted):
+        # a class of rank n >= 4 sums k_t..hi; its twists are the last n of the count's d
+        if n >= 4 and f + h * d[-1] < 0:
+            lo = spans[-1][0]
+            bounds.append(walk_bound(d[-n:], h, f, lo, max(lo, -((f + h * d[-1]) // (d1 - d[-1])))))
+        return range_sum(n, d1, delta, h, f, a, b, weighted)
 
     monkeypatch.setattr(scroll_module, "_walk_bound", bounding)
     monkeypatch.setattr(scroll_module, "_exponent_range", ranging)
+    monkeypatch.setattr(scroll_module, "_range_sum", summing)
     deep = 0
     for _ in range(150):
         n = rng.randint(4, 7)
@@ -588,7 +600,7 @@ def _chain(n: int) -> Scroll:
     return Scroll((2,) + (1,) * (n - 2) + (0,))
 
 
-@pytest.mark.parametrize("n", [600, 2000, 5000])
+@pytest.mark.parametrize("n", [600, 2000, 5000, 20000, 50000])
 def test_long_chain_has_no_recursion_limit(n):
     # hand count of (2, -3): the support is x_1^2, of weight 2, and x_1*x_j, of
     # weight 1, for each middle j; the walk goes down one rank per level
@@ -853,6 +865,18 @@ def test_fixed_component_rejects_trivial_component():
     # (0, 0) has h0 = 1 but subtracting it never drops h0: no finite answer
     with pytest.raises(NotRigid):
         fixed_component_multiplicity(Scroll(4, 0), C(0, 0), C(1, 0))
+
+
+def test_non_rigid_component_with_a_refused_count():
+    # the closed form finds (10^5, -4*10^5) non-rigid (f > -k*d1); its h0 count is a
+    # walk over the budget, so the message bounds h0 instead, with no chained error
+    s, comp = Scroll(5, 3, 1, 0, -2), C(10**5, -4 * 10**5)
+    with pytest.raises(BandTooWide):
+        h0(s, comp)
+    with pytest.raises(NotRigid) as info:
+        fixed_component_multiplicity(s, comp, C(1, 0))
+    assert "has h0 >= 2, need 1" in str(info.value)
+    assert info.value.__cause__ is None and info.value.__context__ is None
 
 
 def test_rigidity_closed_form_matches_h0():

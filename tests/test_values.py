@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 from importlib import import_module
+from inspect import isfunction
 from pathlib import Path
 
 import pytest
@@ -166,24 +167,25 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, args):
         assert type(twin) is cls and twin == value
 
 
-# the package's public names, as the eager namespace of version 0.1.0 exported them
+# the package's public names: those the eager namespace of version 0.1.0 exported,
+# and BandTooWide, ModelTooLarge and support_size, added since
 PUBLIC_NAMES = {
-    "ArityMismatch", "BlowupStep", "BranchReport", "CaseVerdict", "CheckFailure", "CheckResult",
-    "ClassificationCase", "DivisorClass", "DoubleCoverSpec", "EmptySystem", "FanobaseError",
-    "INFINITE", "Inconsistent", "IndexOutOfRange", "InvalidDegree", "InvalidM", "NegativeDegree",
-    "NegativeTwist", "NoSection", "NonIntegralChi", "NormalBundle", "NotEffectiveShape",
-    "NotElephantShape", "NotRigid", "OutOfRange", "PencilClass", "PruneKind", "RankMismatch",
-    "Report", "Scroll", "SurfaceClass", "SurfaceMismatch", "TooFewSummands", "Verdict",
-    "WeightedCI", "WrongDimension", "WrongRank", "WrongSurface", "analyze_cover",
-    "anticanonical_degree", "base_locus_dimension", "blowup_degree", "blowup_section_reduce",
-    "branch_for_taut_anticanonical", "build_report", "canonical_class", "canonical_surface_class",
-    "case_checks", "cone_case", "cone_case_normal_bundle", "cover_degree", "cover_pullback",
-    "decomposition_fiber_coeff", "dot", "enumerate_cases", "exceptional_surface_index",
-    "fano_degree", "fiber_multiplicity_at", "fixed_component_multiplicity",
-    "forced_minimal_decomposition", "from_scroll", "genus", "h0", "hilbert_coeffs", "infer_ring",
-    "intersect", "intersect2", "minimal_degree_data", "minimal_section", "monomial_support",
-    "product_degree", "prune", "restrict_to_subscroll", "rr_chi", "saint_donat_form", "square",
-    "to_scroll", "verify_case",
+    "ArityMismatch", "BandTooWide", "BlowupStep", "BranchReport", "CaseVerdict", "CheckFailure",
+    "CheckResult", "ClassificationCase", "DivisorClass", "DoubleCoverSpec", "EmptySystem",
+    "FanobaseError", "INFINITE", "Inconsistent", "IndexOutOfRange", "InvalidDegree", "InvalidM",
+    "ModelTooLarge", "NegativeDegree", "NegativeTwist", "NoSection", "NonIntegralChi",
+    "NormalBundle", "NotEffectiveShape", "NotElephantShape", "NotRigid", "OutOfRange",
+    "PencilClass", "PruneKind", "RankMismatch", "Report", "Scroll", "SurfaceClass",
+    "SurfaceMismatch", "TooFewSummands", "Verdict", "WeightedCI", "WrongDimension", "WrongRank",
+    "WrongSurface", "analyze_cover", "anticanonical_degree", "base_locus_dimension",
+    "blowup_degree", "blowup_section_reduce", "branch_for_taut_anticanonical", "build_report",
+    "canonical_class", "canonical_surface_class", "case_checks", "cone_case",
+    "cone_case_normal_bundle", "cover_degree", "cover_pullback", "decomposition_fiber_coeff",
+    "dot", "enumerate_cases", "exceptional_surface_index", "fano_degree", "fiber_multiplicity_at",
+    "fixed_component_multiplicity", "forced_minimal_decomposition", "from_scroll", "genus", "h0",
+    "hilbert_coeffs", "infer_ring", "intersect", "intersect2", "minimal_degree_data",
+    "minimal_section", "monomial_support", "product_degree", "prune", "restrict_to_subscroll",
+    "rr_chi", "saint_donat_form", "square", "support_size", "to_scroll", "verify_case",
 }
 SUBMODULES = ("blowup", "classify", "cli", "cover", "errors", "hirzebruch", "k3pencil", "report",
               "scroll", "wps")
@@ -204,6 +206,17 @@ def test_public_names_resolve_to_their_home_objects():
         fanobase.no_such_name
     with pytest.raises(ImportError):
         exec("from fanobase import no_such_name", {})
+
+
+def test_every_error_and_scroll_function_is_public():
+    # README names the errors each command raises, and the scroll kernels are the API
+    errors = {name for name, value in vars(fanobase.errors).items()
+              if isinstance(value, type) and issubclass(value, fanobase.errors.FanobaseError)}
+    kernels = {name for name, value in vars(fanobase.scroll).items()
+               if isfunction(value) and value.__module__ == "fanobase.scroll" and not name.startswith("_")}
+    assert {"BandTooWide", "ModelTooLarge", "NotRigid"} <= errors
+    assert {"h0", "support_size", "monomial_support"} <= kernels
+    assert errors | kernels <= set(fanobase.__all__)
 
 
 def test_public_names_are_read_through_to_the_home_module(monkeypatch):
@@ -277,4 +290,4 @@ def test_json_output_loads_no_classify():
     argv = ["scroll", "h0", "--d", "5,1,0", "--class", "4,-8", "--json"]
     loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
     assert {"fanobase.report", "json"} <= loaded
-    assert "fanobase.classify" not in loaded
+    assert not {"fanobase.classify", "fractions", "decimal"} & loaded
