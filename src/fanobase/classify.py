@@ -28,7 +28,7 @@ from .blowup import BlowupStep, NormalBundle
 from .errors import CheckFailure, OutOfRange, Value, require_integers
 from .hirzebruch import from_scroll, minimal_section
 from .k3pencil import PencilClass
-from .scroll import DivisorClass, intersect, restrict_to_subscroll
+from .scroll import DivisorClass, Scroll, intersect
 from .wps import WeightedCI
 
 
@@ -316,12 +316,10 @@ def _checks_cone(case: ClassificationCase) -> list:
     report = cover.analyze_cover(m)
     base, spec = report.base, report.spec
 
-    # hyperplane section isomorphic to Sigma_4: the sub-scroll on the
-    # twists m and m - 4 (values, not positions: at m = 3 the second
-    # summand sorts below the zero twist)
-    keep_second = base.twists.index(m - 4, 1) + 1
-    sub, restricted = restrict_to_subscroll(base, (1, keep_second), spec.branch)
-    on_sigma4 = from_scroll(sub, restricted)
+    # hyperplane section isomorphic to Sigma_4: the zero twist's coordinate has
+    # class O(1), and its zero locus is F(m, m - 4); classes restrict with (h, f) kept
+    sub = Scroll(m, m - 4)
+    on_sigma4 = from_scroll(sub, spec.branch)
     mu, residual = hirzebruch.forced_minimal_decomposition(on_sigma4)
 
     # elliptic pencil chain on the elephant; O(1) restricts to O(1) on the same sub-scroll

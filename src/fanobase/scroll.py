@@ -43,8 +43,8 @@ Conventions, fixed once for the whole package:
   regime, every monomial in its support, so the range sum counts k_t..hi
   and only the rests of the band lo..k_t - 1 are walked.  With P <= 0
   the class itself is in that regime: k_t = lo = 0, the range 0..h and
-  an empty band; no rest on a walk is.  A walk pops (offset, h, f) on
-  d[offset:], twist sums taken once, from a stack down to rank 3.  At
+  an empty band; no rest on a walk is.  A walk pops (offset, delta, h, f),
+  delta = sum(d[offset:]) as its parent's less d1, down to rank 3.  At
   rank 2 the band is empty.  At rank 3 the rest of each k in the band
   lacks its x_2-exponents below j0(k) = ceil((-f - h*d3 - k*(d1 - d3))
   / (d2 - d3)), so the count is the range sum over lo..hi minus a
@@ -60,7 +60,6 @@ the tautological map is a cone over a scroll only in that range.
 """
 
 from functools import total_ordering
-from itertools import accumulate
 from math import comb
 
 from .errors import (
@@ -261,15 +260,14 @@ def _range_sum(n: int, d1: int, delta: int, h: int, f: int, a: int, b: int, weig
 def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
     """Sum of e . d + f + 1 (weighted) or of 1 over the support of ``|(h, f)|`` on F(d), d non-increasing.
 
-    The band split of the module docstring.  A class is (offset, h, f) on
-    the twists d[offset:], whose sums are taken once; the rests of each
-    band are popped from a stack.  Only the class asked has offset 0, and
-    only its walk is bounded (:func:`_walk_bound`).
+    The band split of the module docstring.  A class (offset, delta, h, f)
+    carries the sum of its twists d[offset:]: sum(d) for the class asked,
+    offset 0 and the only walk bounded (:func:`_walk_bound`), and delta - d1
+    for each rest of a band, pushed on a stack.
     """
-    n, dn, total, stack = len(d), d[-1], 0, [(0, h, f)]
-    sums = list(accumulate(reversed(d)))[::-1]  # sums[i] = sum(d[i:])
+    n, dn, total, stack = len(d), d[-1], 0, [(0, sum(d), h, f)]
     while stack:
-        i, h, f = stack.pop()
+        i, delta, h, f = stack.pop()
         span = _exponent_range(d[i:i + 2], h, f, 1)
         if span is None:
             continue
@@ -277,15 +275,15 @@ def _count(d: tuple, h: int, f: int, weighted: bool) -> int:
         (lo, hi), d1, p = span, d[i], -f - h * dn
         k_t = max(lo, -(-p // (d1 - dn))) if p > 0 else lo
         if n - i <= 3:  # the whole range less the band's deficit (module docstring)
-            total += _range_sum(n - i, d1, sums[i], h, f, lo, hi, weighted) - (
+            total += _range_sum(n - i, d1, delta, h, f, lo, hi, weighted) - (
                 _band_deficit(d[i:], h, f, lo, k_t, weighted) if k_t > lo else 0)
             continue
         bound = _walk_bound(d, h, f, lo, k_t) if p > 0 and not i else 0
         if bound > WALK_BUDGET:
             raise BandTooWide(f"counting ({h}, {f}) on F({','.join(map(str, d))}) may evaluate "
                               f"{bound} rank-3 closed forms, over the budget of {WALK_BUDGET}")
-        total += _range_sum(n - i, d1, sums[i], h, f, k_t, hi, weighted)
-        stack.extend((i + 1, h - k, f + k * d1) for k in range(lo, k_t))
+        total += _range_sum(n - i, d1, delta, h, f, k_t, hi, weighted)
+        stack.extend((i + 1, delta - d1, h - k, f + k * d1) for k in range(lo, k_t))
     return total
 
 
