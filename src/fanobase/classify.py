@@ -21,14 +21,13 @@ claim of a case through the calculus modules.
 """
 
 from enum import Enum
-from fractions import Fraction
 
 from . import blowup, cover, hirzebruch, k3pencil, wps
 from .blowup import BlowupStep, NormalBundle
 from .errors import CheckFailure, OutOfRange, Value, require_integers
 from .hirzebruch import from_scroll, minimal_section
 from .k3pencil import PencilClass
-from .scroll import DivisorClass, Scroll, intersect
+from .scroll import Scroll, intersect
 from .wps import WeightedCI
 
 
@@ -87,6 +86,21 @@ class ClassificationCase(Value):
         set_notes(self, notes)
 
 
+# the six outcomes of prune, built once: values are immutable, so sharing them is safe
+_CONE = CaseVerdict(PruneKind.CONE)
+_RULED_SEXTIC = CaseVerdict(PruneKind.RULED_SEXTIC)
+_PRODUCT = CaseVerdict(PruneKind.PRODUCT)
+_NO_CONE = CaseVerdict(
+    PruneKind.EXCLUDED,
+    reason="a cone image needs a >= 1 once b = -2 (ample -K on the exceptional surface fails otherwise)",
+)
+_NOT_EQUAL = CaseVerdict(PruneKind.EXCLUDED, reason="equal splitting type with Fano total space forces a = b = 0")
+_NOT_RULED = CaseVerdict(
+    PruneKind.EXCLUDED,
+    reason="a ruled image with a > b forces a <= 0 (ideal-sequence section count), so (a, b) = (0, -1)",
+)
+
+
 def prune(a: int, b: int) -> CaseVerdict:
     """Classify a splitting type (a, b), a >= b >= -2.
 
@@ -99,25 +113,12 @@ def prune(a: int, b: int) -> CaseVerdict:
     if b < -2 or a < b:
         raise OutOfRange(f"need a >= b >= -2, got ({a}, {b})")
     if b == -2:
-        if a >= 1:
-            return CaseVerdict(PruneKind.CONE)
-        return CaseVerdict(
-            PruneKind.EXCLUDED,
-            reason="a cone image needs a >= 1 once b = -2 (ample -K on the exceptional surface fails otherwise)",
-        )
+        return _CONE if a >= 1 else _NO_CONE
     if (a, b) == (0, -1):
-        return CaseVerdict(PruneKind.RULED_SEXTIC)
+        return _RULED_SEXTIC
     if (a, b) == (0, 0):
-        return CaseVerdict(PruneKind.PRODUCT)
-    if a == b:
-        return CaseVerdict(
-            PruneKind.EXCLUDED,
-            reason="equal splitting type with Fano total space forces a = b = 0",
-        )
-    return CaseVerdict(
-        PruneKind.EXCLUDED,
-        reason="a ruled image with a > b forces a <= 0 (ideal-sequence section count), so (a, b) = (0, -1)",
-    )
+        return _PRODUCT
+    return _NOT_EQUAL if a == b else _NOT_RULED
 
 
 def quadric_sextic_case() -> ClassificationCase:
@@ -256,6 +257,7 @@ def _checks_quadric_sextic(case: ClassificationCase) -> list:
 
 
 def _checks_ruled_sextic(case: ClassificationCase) -> list:
+    from fractions import Fraction  # here, its only use, so importing this module loads no fractions/decimal
     sextic = WeightedCI((1, 1, 1, 2, 3), (6,))
     degree, integral = wps.anticanonical_degree(sextic)
     closed_form = tuple(1 + k * (8 + 3 * k + k * k) // 6 for k in range(21))
@@ -311,6 +313,9 @@ def _checks_product(case: ClassificationCase) -> list:
     ]
 
 
+_SIGMA4_SECTION = minimal_section(4)  # the curve the residual of every cone case misses
+
+
 def _checks_cone(case: ClassificationCase) -> list:
     m = case.m
     report = cover.analyze_cover(m)
@@ -323,8 +328,7 @@ def _checks_cone(case: ClassificationCase) -> list:
     mu, residual = hirzebruch.forced_minimal_decomposition(on_sigma4)
 
     # elliptic pencil chain on the elephant; O(1) restricts to O(1) on the same sub-scroll
-    taut = DivisorClass(1, 0)
-    taut_on_sigma4 = from_scroll(sub, taut)
+    taut_on_sigma4 = from_scroll(sub, cover._TAUT)
     pulled = k3pencil.cover_pullback(taut_on_sigma4)
     reduced = k3pencil.blowup_section_reduce(pulled)
 
@@ -373,13 +377,13 @@ def _checks_cone(case: ClassificationCase) -> list:
         CheckResult(
             "residual misses the minimal section",
             0,
-            hirzebruch.intersect2(residual, minimal_section(4)),
+            hirzebruch.intersect2(residual, _SIGMA4_SECTION),
         ),
         CheckResult("residual genus", 10, hirzebruch.genus(residual), "adjunction"),
         CheckResult(
             "residual meets fixed part trivially",
             0,
-            intersect(base, [report.residual_class, report.b_class, taut]),
+            intersect(base, [report.residual_class, report.b_class, cover._TAUT]),
             "R.B.Sigma = 0",
         ),
         CheckResult("elephant pullback", (2, m), (pulled.gamma, pulled.ell)),

@@ -30,6 +30,8 @@ from .scroll import (
     intersect,
 )
 
+_TAUT = DivisorClass(1, 0)  # O(1); -K of the cover is its pullback
+
 
 class Verdict(Enum):
     """Outcome of the Du Val necessary condition at the distinguished fiber point."""
@@ -112,14 +114,13 @@ def branch_for_taut_anticanonical(s: Scroll) -> DoubleCoverSpec:
     """
     if len(s.twists) != 3:
         raise WrongRank(f"cover bookkeeping needs a threefold base, got {s!r}")
-    half = DivisorClass(2, 2 - sum(s.twists))
-    return DoubleCoverSpec(base=s, branch=2 * half, half=half)
+    delta = sum(s.twists)
+    return DoubleCoverSpec(base=s, branch=DivisorClass(4, 4 - 2 * delta), half=DivisorClass(2, 2 - delta))
 
 
 def cover_degree(spec: DoubleCoverSpec) -> int:
     """(-K)^3 of the cover: twice the top self-intersection of O(1)."""
-    one = DivisorClass(1, 0)
-    return 2 * intersect(spec.base, [one] * spec.base.rank)
+    return 2 * intersect(spec.base, [_TAUT] * spec.base.rank)
 
 
 def analyze_cover(m: int) -> BranchReport:
@@ -145,5 +146,5 @@ def analyze_cover(m: int) -> BranchReport:
     # the smallest twist (last after sorting)
     fiber_mult = fiber_multiplicity_at(base, spec.branch, base.rank)
     report = BranchReport(m, spec, b, b_mult, fiber_mult)
-    assert intersect(base, [report.residual_class, b, DivisorClass(1, 0)]) == 0
+    assert intersect(base, [report.residual_class, b, _TAUT]) == 0
     return report

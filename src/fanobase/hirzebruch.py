@@ -112,10 +112,11 @@ def forced_minimal_decomposition(c: SurfaceClass):
     e >= 1, the minimal section is the rigid class (1, -e) of F(e, 0), so
     its multiplicity mu is the scroll's fixed-component count, read off
     the exponent range in closed form; on Sigma_0 nothing is fixed.
-    Returns (mu, residual) with residual . xi >= 0.
+    Returns (mu, residual) with residual = c - mu*s = (xi - mu)s + fib*f,
+    s the minimal section, and residual . s >= 0.
     """
     if c.xi < 0 or c.fib < 0:
         raise EmptySystem(f"|{c}| is empty")
     surface, scroll_class = to_scroll(c)
     mu = fixed_component_multiplicity(surface, DivisorClass(1, -c.e), scroll_class) if c.e else 0
-    return mu, c - mu * minimal_section(c.e)
+    return mu, SurfaceClass(c.e, c.xi - mu, c.fib)

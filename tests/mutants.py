@@ -1,4 +1,6 @@
-"""Mutation table for two kernels: ``scroll._count`` and ``classify._checks_cone``.
+"""Mutation table for the section count ``scroll._count`` and the cone-case path:
+``classify._checks_cone``, ``classify.prune``, ``cover.branch_for_taut_anticanonical``
+and ``hirzebruch.forced_minimal_decomposition``.
 
 Run as ``python3 tests/mutants.py`` from anywhere; standard library only,
 and not collected by pytest (the name does not match ``test_*.py``).
@@ -44,6 +46,12 @@ TARGETS = {
     "_count": ("src/fanobase/scroll.py", ("tests/test_scroll.py",)),
     "_checks_cone": ("src/fanobase/classify.py",
                      ("tests/test_classify.py", "tests/test_acceptance.py", "tests/test_cli.py")),
+    "prune": ("src/fanobase/classify.py",
+              ("tests/test_classify.py", "tests/test_acceptance.py", "tests/test_scroll.py")),
+    "branch_for_taut_anticanonical": ("src/fanobase/cover.py",
+                                      ("tests/test_cover.py", "tests/test_classify.py", "tests/test_acceptance.py")),
+    "forced_minimal_decomposition": ("src/fanobase/hirzebruch.py",
+                                     ("tests/test_hirzebruch.py", "tests/test_cover.py", "tests/test_acceptance.py")),
 }
 
 # (function, line in the function, mutant label) -> why no test can tell the mutant from the code

@@ -24,6 +24,7 @@ from fanobase import (
 )
 from fanobase import cover, scroll
 from fanobase.classify import product_case
+from fanobase.errors import Value
 
 
 def test_thirteen_cases_with_expected_degrees():
@@ -128,6 +129,38 @@ def test_cone_suite_builds_the_cover_once_and_counts_no_sections(monkeypatch, m)
     with pytest.raises(NotRigid):
         scroll.fixed_component_multiplicity(Scroll(4, 0), DivisorClass(1, 0), DivisorClass(4, -4))
     assert calls["h0"] == 1
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# values one cone_case(m), its case_checks and one analyze_cover(m) build, whatever m:
+# O(1), the Sigma_4 section and the prune verdict are built once at import
+CONE_PATH_VALUES = {
+    "NormalBundle": 1, "ClassificationCase": 1, "CaseVerdict": 0, "Scroll": 4, "DoubleCoverSpec": 2,
+    "DivisorClass": 11, "BranchReport": 2, "SurfaceClass": 5, "PencilClass": 3, "BlowupStep": 2,
+    "CheckResult": 19,
+}
+
+
+@pytest.mark.parametrize("m", [3, 12, 400])
+def test_cone_path_builds_each_fixed_value_once(monkeypatch, m):
+    built = Counter()
+    for cls in _subclasses(Value):
+        if "__init__" in vars(cls):
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls.__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+    case_checks(cone_case(m))
+    analyze_cover(m)
+    assert built == Counter(CONE_PATH_VALUES)
+    # prune hands out one shared verdict per outcome
+    assert prune(m - 2, -2) is prune(m - 1, -2)
 
 
 def test_suite_follows_case_kind_not_label():

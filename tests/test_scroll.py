@@ -553,6 +553,23 @@ def test_wide_rank_four_walk_is_refused():
         assert h0(Scroll(d), C(40, f)) == weight_count_h0(d, 40, f), (d, f)
 
 
+def test_rank_three_rests_take_the_floor_sums(monkeypatch):
+    # the band of (10^k, -2*10^k) on F(5,3,1,0) is 4*10^(k-1) exponents wide, and each
+    # rank-3 rest is summed in closed form: one range sum per exponent plus the class
+    # asked; a rest walked down to rank 2 would cost one per pair of exponents
+    calls, range_sum = [], scroll_module._range_sum
+
+    def summing(*args):
+        calls.append(args[0])
+        return range_sum(*args)
+
+    monkeypatch.setattr(scroll_module, "_range_sum", summing)
+    for k, most in ((2, 41), (3, 401)):
+        calls.clear()
+        h0(Scroll(5, 3, 1, 0), C(10**k, -2 * 10**k))
+        assert len(calls) <= most, (k, len(calls))
+
+
 def test_walk_bound_is_checked_once_on_the_class_asked(monkeypatch):
     # every class deeper in a rank 4-7 walk has a bound at most the top one
     # (docstring of _walk_bound), so one check per count covers the whole walk

@@ -6,8 +6,9 @@ and pickling, also on the reports the pipeline builds; the lazy package
 namespace, whose public names are those of the eager one and resolve to
 their home modules' objects; and cold imports: ``fanobase.cli`` loads
 neither ``dataclasses`` nor ``inspect``, ``fanobase.scroll`` or
-``fanobase.wps`` loads no other submodule, and no CLI text output loads
-the JSON layer (nor the report, except ``verify-paper``, which builds one).
+``fanobase.wps`` loads no other submodule, ``fanobase.classify`` loads no
+``fractions``, and no CLI text output loads the JSON layer (nor the
+report, except ``verify-paper``, which builds one).
 """
 
 import copy
@@ -264,6 +265,8 @@ def test_cli_import_loads_no_dataclasses():
         assert {m for m in loaded if m.startswith("fanobase")} == {
             "fanobase", "fanobase.errors", f"fanobase.{module}"}
         assert not stdlib & loaded
+    # the classifier loads fractions only inside the one suite that compares Fractions
+    assert not {"fractions", "decimal"} & _cold_import("import fanobase.classify")
     # a CLI process loads only its subcommand's modules, and text loads no json
     heavy = {"fanobase.classify", "fanobase.cover", "fanobase.report", "json", "fractions", "decimal"}
     for argv, absent in (
@@ -277,7 +280,7 @@ def test_cli_import_loads_no_dataclasses():
         (["blowup", "degree", "--ambient", "8", "--curve", "2", "--genus", "1"], heavy),
         # the branch record and the table need neither the report nor the JSON layer
         (["cover", "analyze", "--m", "5"], {"fanobase.classify", "fanobase.report", "json"}),
-        (["classify", "enumerate"], {"fanobase.report", "json"}),
+        (["classify", "enumerate"], {"fanobase.report", "json", "fractions", "decimal"}),
         # the report is built, and rendered as text without json
         (["verify-paper"], {"json"}),
     ):
