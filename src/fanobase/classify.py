@@ -210,30 +210,26 @@ def enumerate_cases() -> list:
     return cases
 
 
-def _rr_checks() -> list:
+def _checks_quadric_sextic(case: ClassificationCase) -> list:
+    full = WeightedCI((1, 1, 1, 1, 2, 3), (2, 6))
+    minimal = WeightedCI((1, 1, 1, 1, 3), (6,))
+    series = wps.hilbert_coeffs(full, 12)
+    degree, integral = wps.anticanonical_degree(full)
     rule = "chi(-kK) = (2k+1) + k(k+1)(2k+1) deg/12"
     return [
         CheckResult("anticanonical sections", 4, wps.rr_chi(2, 1), rule),
         CheckResult("double anticanonical sections", 10, wps.rr_chi(2, 2), rule),
         CheckResult("triple anticanonical sections", 21, wps.rr_chi(2, 3), rule),
-    ]
-
-
-def _checks_quadric_sextic(case: ClassificationCase) -> list:
-    full = WeightedCI((1, 1, 1, 1, 2, 3), (2, 6))
-    minimal = WeightedCI((1, 1, 1, 1, 3), (6,))
-    degree, integral = wps.anticanonical_degree(full)
-    return _rr_checks() + [
         CheckResult(
             "two presentations share one Hilbert series",
-            tuple(wps.hilbert_coeffs(full, 12)),
+            tuple(series),
             tuple(wps.hilbert_coeffs(minimal, 12)),
             "the degree-2 generator cancels against the quadric relation",
         ),
         CheckResult(
             "ring inference recovers the minimal model",
             ((1, 1, 1, 1, 3), (6,)),
-            wps.infer_ring(wps.hilbert_coeffs(full, 12)),
+            wps.infer_ring(series),
         ),
         CheckResult(
             "anticanonical degree",

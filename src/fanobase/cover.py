@@ -20,7 +20,7 @@ family down to 3 <= m <= 12.
 
 from enum import Enum
 
-from .errors import InvalidM, Value, WrongRank, require_integers
+from .errors import FanobaseError, InvalidM, Value, WrongRank, require_integers
 from .scroll import (
     INFINITE,
     DivisorClass,
@@ -45,24 +45,34 @@ class Verdict(Enum):
 
 
 class DoubleCoverSpec(Value):
-    """Base scroll with branch class D and its half L, D = 2L."""
+    """Base scroll and branch class D = 2L; the half L is read from D.
 
-    __slots__ = ("base", "branch", "half")
+    A branch with an odd coefficient has no half and is refused.
+    """
 
-    def __init__(self, base: Scroll, branch: DivisorClass, half: DivisorClass):
-        set_base, set_branch, set_half = self._set
+    __slots__ = ("base", "branch")
+
+    def __init__(self, base: Scroll, branch: DivisorClass):
+        if branch.h % 2 or branch.f % 2:
+            raise FanobaseError(f"a double cover branches along twice a class, got {branch}")
+        set_base, set_branch = self._set
         set_base(self, base)
         set_branch(self, branch)
-        set_half(self, half)
+
+    @property
+    def half(self) -> DivisorClass:
+        """L with D = 2L, the class in the double-cover formula K_U = mu^*(K_W + L)."""
+        return DivisorClass(self.branch.h // 2, self.branch.f // 2)
 
 
 class BranchReport(Value):
     """Everything the branch pipeline establishes for one value of m.
 
-    Stored: ``spec``, the :class:`DoubleCoverSpec` (base, D, L) the analysis
-    ran on; ``b_class``, the rigid member B; ``b_mult``, how often B is
-    forced into the generic member (1 for m >= 4, 0 for m = 3, where the
-    branch can avoid B); ``fiber_mult`` at the distinguished point.
+    Stored: ``spec``, the :class:`DoubleCoverSpec` (base and D, which L is
+    read from) the analysis ran on; ``b_class``, the rigid member B;
+    ``b_mult``, how often B is forced into the generic member (1 for m >= 4,
+    0 for m = 3, where the branch can avoid B); ``fiber_mult`` at the
+    distinguished point.
     Derived: ``base`` is ``spec.base``, ``residual_class`` is R = D - B (the
     line-plus-cubic split) and ``verdict`` is the Du Val rule ``fiber_mult <= 3``.
     """
@@ -110,12 +120,11 @@ def branch_for_taut_anticanonical(s: Scroll) -> DoubleCoverSpec:
     """Branch data of the double cover whose -K pulls back O(1).
 
     Solving K_U = mu^*(K_W + L) = mu^*(-O(1)) gives L = -K_W - O(1) =
-    (2, 2 - delta) on a rank-3 scroll, hence D = 2L.
+    (2, 2 - delta) on a rank-3 scroll, hence D = 2L = (4, 4 - 2*delta).
     """
     if len(s.twists) != 3:
         raise WrongRank(f"cover bookkeeping needs a threefold base, got {s!r}")
-    delta = sum(s.twists)
-    return DoubleCoverSpec(base=s, branch=DivisorClass(4, 4 - 2 * delta), half=DivisorClass(2, 2 - delta))
+    return DoubleCoverSpec(base=s, branch=DivisorClass(4, 4 - 2 * sum(s.twists)))
 
 
 def cover_degree(spec: DoubleCoverSpec) -> int:

@@ -1,9 +1,13 @@
 """Mutation table for the section count ``scroll._count`` and the cone-case path:
-``classify._checks_cone``, ``classify.prune``, ``cover.branch_for_taut_anticanonical``
-and ``hirzebruch.forced_minimal_decomposition``.
+``classify._checks_cone``, ``classify.prune``, ``cover.branch_for_taut_anticanonical``,
+``hirzebruch.forced_minimal_decomposition`` and the two methods of
+``cover.DoubleCoverSpec`` (a target named ``"Class.method"`` is looked up in
+that class's body).
 
-Run as ``python3 tests/mutants.py`` from anywhere; standard library only,
-and not collected by pytest (the name does not match ``test_*.py``).
+Run as ``python3 tests/mutants.py [NAME ...]`` from anywhere; with names it
+runs only those targets, with none every target, and an unknown name exits 2
+and lists ``TARGETS``.  Standard library only, and not collected by pytest
+(the name does not match ``test_*.py``).
 Each site inside a target function gets one ``ast`` edit at a time: an
 int constant +1 and -1, ``<`` <-> ``<=``, ``>`` <-> ``>=``, ``+`` <-> ``-``
 (``+=`` <-> ``-=`` too).  The edit is spliced into the source text, so
@@ -52,6 +56,10 @@ TARGETS = {
                                       ("tests/test_cover.py", "tests/test_classify.py", "tests/test_acceptance.py")),
     "forced_minimal_decomposition": ("src/fanobase/hirzebruch.py",
                                      ("tests/test_hirzebruch.py", "tests/test_cover.py", "tests/test_acceptance.py")),
+    "DoubleCoverSpec.__init__": ("src/fanobase/cover.py",
+                                 ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
+    "DoubleCoverSpec.half": ("src/fanobase/cover.py",
+                             ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
 }
 
 # (function, line in the function, mutant label) -> why no test can tell the mutant from the code
@@ -78,7 +86,12 @@ def _span(lines: list, node) -> tuple:
 
 
 def _function(tree, name: str):
-    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    """The function ``name`` at module level, or the method ``"Class.method"`` in its class body."""
+    body = tree.body
+    *owner, name = name.split(".")
+    if owner:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == owner[0]).body
+    return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
 def _sites(fn) -> list:
@@ -221,9 +234,14 @@ def run_tests(modules: tuple, mutated=None, cap=None) -> tuple:
         return failing, seconds
 
 
-def main() -> int:
+def main(names: list) -> int:
+    unknown = [name for name in names if name not in TARGETS]
+    if unknown:
+        print(f"unknown target {', '.join(unknown)}; TARGETS: {', '.join(TARGETS)}", file=sys.stderr)
+        return 2
     results, unexplained = [], []
-    for name, (path, modules) in TARGETS.items():
+    for name in names or TARGETS:
+        path, modules = TARGETS[name]
         base, seconds = run_tests(modules)
         if base == "timeout":
             print(f"{name}: the unmutated run timed out", file=sys.stderr)
@@ -252,4 +270,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

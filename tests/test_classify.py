@@ -141,7 +141,7 @@ def _subclasses(cls):
 # O(1), the Sigma_4 section and the prune verdict are built once at import
 CONE_PATH_VALUES = {
     "NormalBundle": 1, "ClassificationCase": 1, "CaseVerdict": 0, "Scroll": 4, "DoubleCoverSpec": 2,
-    "DivisorClass": 11, "BranchReport": 2, "SurfaceClass": 5, "PencilClass": 3, "BlowupStep": 2,
+    "DivisorClass": 9, "BranchReport": 2, "SurfaceClass": 5, "PencilClass": 3, "BlowupStep": 2,
     "CheckResult": 19,
 }
 

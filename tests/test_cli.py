@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import re
 import runpy
 import shlex
@@ -508,6 +509,79 @@ def test_arity_domain_error(capsys):
     code, _, err = run(capsys, "scroll", "intersect", "--d", "5,1,0", "--classes", "1,0;1,0")
     assert code == 3
     assert "error:" in err
+
+
+# every leaf of the command tree: (command words, (option, kind, required) per option)
+LEAVES = (
+    (("verify-paper",), (("--max-degree", "int", False),)),
+    (("scroll", "h0"), (("--d", "csv", True), ("--class", "pair", True))),
+    (("scroll", "support"), (("--d", "csv", True), ("--class", "pair", True))),
+    (("scroll", "intersect"), (("--d", "csv", True), ("--class", "pair", False),
+                               ("--classes", "pairs", False))),
+    (("surface", "split"), (("--e", "int", True), ("--class", "pair", True))),
+    (("k3", "chain"), (("--m", "int", True),)),
+    (("wps", "hilbert"), (("--weights", "csv", True), ("--degrees", "csv", False),
+                          ("--max", "int", False))),
+    (("wps", "infer"), (("--series", "csv", True),)),
+    (("cover", "analyze"), (("--m", "int", True),)),
+    (("classify", "enumerate"), ()),
+    (("blowup", "degree"), (("--ambient", "int", True), ("--curve", "int", True),
+                            ("--genus", "int", True))),
+)
+
+
+def _draw_int(rng) -> int:
+    # half small, half log-uniform in magnitude up to 10**40, either sign
+    if rng.random() < 0.5:
+        return rng.randint(-20, 20)
+    digits = rng.randint(1, 40)
+    return rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+
+
+def _draw_value(rng, kind: str) -> str:
+    def csv(n):
+        return ",".join(str(_draw_int(rng)) for _ in range(n))
+
+    if kind == "int":
+        return str(_draw_int(rng))
+    if kind == "csv":
+        return csv(rng.choice((0, 1, 2, 3, 4, 40)))
+    if kind == "pair":
+        return csv(2 if rng.random() < 0.75 else rng.choice((0, 1, 3, 40)))
+    return ";".join(_draw_value(rng, "pair") for _ in range(rng.choice((0, 1, 2, 3, 40))))
+
+
+def _draw_argv(rng) -> list:
+    words, options = rng.choice(LEAVES)
+    argv = list(words)
+    for option, kind, required in options:
+        if required or rng.random() < 0.5:
+            value = _draw_value(rng, kind)
+            # the space form reads a value that starts with "-" as an option: exit 2
+            argv += [f"{option}={value}"] if rng.random() < 0.5 else [option, value]
+    if rng.random() < 0.3:
+        argv.append("--json")
+    return argv
+
+
+def test_exit_code_contract_on_drawn_command_lines(capsys):
+    # north star 3's rule as a property: whatever the command line, the exit
+    # code is 0, 1, 2 or 3, no traceback reaches stderr, and the answer is prompt
+    rng = random.Random(20261019)
+    drawn = [_draw_argv(rng) for _ in range(400)]
+    assert {tuple(argv[:2]) if argv[0] != "verify-paper" else ("verify-paper",) for argv in drawn} == {
+        words for words, _ in LEAVES}
+    codes = set()
+    for argv in drawn:
+        start = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        assert seconds < 5, argv
+        codes.add(code)
+    assert {0, 2, 3} <= codes
 
 
 def test_closed_pipe_exits_quietly():

@@ -6,6 +6,8 @@ from fanobase import (
     INFINITE,
     BranchReport,
     DivisorClass,
+    DoubleCoverSpec,
+    FanobaseError,
     InvalidM,
     Scroll,
     Verdict,
@@ -46,6 +48,20 @@ def test_adjunction_closure():
                 s = Scroll(d1, d2, d3)
                 spec = branch_for_taut_anticanonical(s)
                 assert canonical_class(s) + spec.half + C(1, 0) == C(0, 0)
+
+
+def test_spec_stores_the_branch_and_reads_its_half():
+    # D = 2L is stored once: L is read from D, and a D that is not twice a class is refused
+    assert DoubleCoverSpec.__slots__ == ("base", "branch")
+    for d1 in range(-3, 7):
+        for d2 in range(-3, d1 + 1):
+            for d3 in range(-3, d2 + 1):
+                s = Scroll(d1, d2, d3)
+                assert branch_for_taut_anticanonical(s).half == C(2, 2 - s.delta())
+    base = Scroll(5, 1, 0)
+    for odd in (C(3, 0), C(4, -7)):
+        with pytest.raises(FanobaseError):
+            DoubleCoverSpec(base, odd)
 
 
 def test_cover_degree_examples():
@@ -151,3 +167,20 @@ def test_report_dict_round_trips_branch():
     assert data["verdict"] == "passes-du-val-necessary"
     # supported monomial (3,0,1) realizes the minimum 4 - 1
     assert data["fiber_mult"] == 3
+
+
+def test_verdict_matches_the_closed_form_bound():
+    # A second route to the verdict.  For m >= 4 the base F(m, m-4, 0) keeps
+    # its order, so x_1, x_2, x_3 carry the twists m, m - 4, 0, and the branch
+    # is D = (4, 12 - 4m).  A monomial x_1^a x_2^b x_3^k of D (a + b + k = 4)
+    # has fiber degree a*m + b*(m - 4) + 12 - 4m, at most g(k) = 12 - k*m,
+    # which x_1^(4-k) x_3^k attains.  So the x_3-exponents of the sections
+    # run over 0 <= k <= min(4, 12 // m).  The multiplicity at the
+    # distinguished point (x_1 = x_2 = 0) is the least a + b = 4 - k, that is
+    # 4 - min(4, 12 // m), which is at most 3 exactly when m <= 12.
+    for m in [*range(4, 200), 400, 10**6, 10**12]:
+        report = analyze_cover(m)
+        assert report.fiber_mult == 4 - min(4, 12 // m), m
+        assert report.verdict.passed == (m <= 12), m
+    # at m = 3 the base is F(3, 0, -1), whose twists sort differently
+    assert analyze_cover(3).fiber_mult == 1

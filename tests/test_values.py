@@ -55,8 +55,8 @@ SAMPLES = [
     (NormalBundle, (1, 0)),
     (BlowupStep, (8, 2, 1)),
     (WeightedCI, ((1, 1, 1, 2, 3), (6,))),
-    (DoubleCoverSpec, (Scroll(5, 1, 0), DivisorClass(4, -4), DivisorClass(2, -2))),
-    (BranchReport, (5, DoubleCoverSpec(Scroll(5, 1, 0), DivisorClass(4, -8), DivisorClass(2, -4)),
+    (DoubleCoverSpec, (Scroll(5, 1, 0), DivisorClass(4, -4))),
+    (BranchReport, (5, DoubleCoverSpec(Scroll(5, 1, 0), DivisorClass(4, -8)),
                     DivisorClass(1, -5), 1, 1)),
     (CaseVerdict, (PruneKind.EXCLUDED, "a reason")),
     (CheckResult, ("a", 1, 1, "a rule")),
