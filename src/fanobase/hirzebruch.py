@@ -7,8 +7,10 @@ from scroll coordinates is
 
     (h, f) on F(d1, d2)  <->  (xi, fib) = (h, h*d1 + f) on Sigma_(d1-d2),
 
-and negative-twist rank-2 presentations are normalized to F(e, 0) by
-the scroll constructor, so every surface has a unique normal form here.
+The scroll constructor only sorts the twists (F(3, -1) stays F(3, -1)).
+:func:`from_scroll` reads any rank-2 presentation, negative twists
+included, as Sigma_(d1-d2), and :func:`to_scroll` returns the normal form
+F(e, 0), so every surface has a unique normal form here.
 """
 
 from .errors import (

@@ -1,8 +1,10 @@
-"""Mutation table for the section count ``scroll._count`` and the cone-case path:
-``classify._checks_cone``, ``classify.prune``, ``cover.branch_for_taut_anticanonical``,
-``hirzebruch.forced_minimal_decomposition`` and the two methods of
-``cover.DoubleCoverSpec`` (a target named ``"Class.method"`` is looked up in
-that class's body).
+"""Mutation table for the section count ``scroll._count``, the cone-case path
+(``classify._checks_cone``, ``classify.prune``,
+``cover.branch_for_taut_anticanonical``, ``hirzebruch.forced_minimal_decomposition``,
+the two methods of ``cover.DoubleCoverSpec``) and the kernels
+``wps._series``, ``wps.infer_ring``, ``scroll._exponent_range`` and
+``cover.analyze_cover``.  A target named ``"Class.method"`` is looked up in
+that class's body.
 
 Run as ``python3 tests/mutants.py [NAME ...]`` from anywhere; with names it
 runs only those targets, with none every target, and an unknown name exits 2
@@ -10,9 +12,11 @@ and lists ``TARGETS``.  Standard library only, and not collected by pytest
 (the name does not match ``test_*.py``).
 Each site inside a target function gets one ``ast`` edit at a time: an
 int constant +1 and -1, ``<`` <-> ``<=``, ``>`` <-> ``>=``, ``+`` <-> ``-``
-(``+=`` <-> ``-=`` too).  The edit is spliced into the source text, so
-comments and layout elsewhere are kept, and the spliced function is
-checked to parse to the mutated tree.
+(``+=`` <-> ``-=`` too).  A mutant is a deep copy of the module tree with
+the one edit applied, and its source is that tree rendered by
+``ast.unparse``, so the text is the tree by construction (comments and
+layout are not kept).  ``tests/test_mutants.py`` checks in Tier-1 that
+every target module round-trips through ``ast.unparse``.
 
 Each mutant runs its function's test modules in a fresh temporary copy of
 the repository (src, tests, demos, README.md, pyproject.toml), never in
@@ -60,29 +64,39 @@ TARGETS = {
                                  ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
     "DoubleCoverSpec.half": ("src/fanobase/cover.py",
                              ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
+    "_series": ("src/fanobase/wps.py", ("tests/test_wps.py", "tests/test_classify.py")),
+    "infer_ring": ("src/fanobase/wps.py", ("tests/test_wps.py", "tests/test_classify.py")),
+    "_exponent_range": ("src/fanobase/scroll.py",
+                        ("tests/test_scroll.py", "tests/test_cover.py", "tests/test_hirzebruch.py")),
+    "analyze_cover": ("src/fanobase/cover.py",
+                      ("tests/test_cover.py", "tests/test_classify.py", "tests/test_acceptance.py")),
 }
 
 # (function, line in the function, mutant label) -> why no test can tell the mutant from the code
 EQUIVALENT = {
     ("_count", 11, "i + 2  ->  i + 3"):
         "_exponent_range(d, h, f, 1) reads d[0] and d[1] only, so a longer slice changes nothing",
-    ("_count", 21, "> 0 and not i else 0  ->  > 0 and not i else (-1)"):
+    ("_count", 21, "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 0  ->  "
+                   "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else -1"):
         "the bound is only compared with WALK_BUDGET = 10**5, which -1 does not exceed either",
-    ("_count", 21, "> 0 and not i else 0  ->  > 0 and not i else 1"):
+    ("_count", 21, "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 0  ->  "
+                   "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 1"):
         "the bound is only compared with WALK_BUDGET = 10**5, which 1 does not exceed either",
+    ("_series", 15, "n_max // 16  ->  n_max // 15"):
+        "the switch only picks one of two forms of the same division step, so only the speed changes",
+    ("_series", 15, "n_max // 16  ->  n_max // 17"):
+        "the switch only picks one of two forms of the same division step, so only the speed changes",
+    ("_series", 17, "w > longest  ->  w >= longest"):
+        "the switch only picks one of two forms of the same division step, so only the speed changes",
+    ("infer_ring", 28, "range(1, n_max + 1)  ->  range(0, n_max + 1)"):
+        "at degree 0 the candidate is [1] and seq[0] == 1 is checked before the loop, so delta is 0",
+    ("infer_ring", 40, "delta > 0  ->  delta >= 0"):
+        "at delta = 0 the generators grow by an empty list instead of the relations",
+    ("infer_ring", 40, "delta > 0  ->  delta > -1"):
+        "at delta = 0 the generators grow by an empty list instead of the relations",
 }
 
 _SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Add: ast.Sub, ast.Sub: ast.Add}
-_TEXT = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Add: "+", ast.Sub: "-"}
-
-
-def _offset(lines: list, line: int, col: int) -> int:
-    """Character offset of the 1-based line and 0-based UTF-8 column in the joined lines."""
-    return sum(len(x) for x in lines[:line - 1]) + len(lines[line - 1].encode()[:col].decode())
-
-
-def _span(lines: list, node) -> tuple:
-    return _offset(lines, node.lineno, node.col_offset), _offset(lines, node.end_lineno, node.end_col_offset)
 
 
 def _function(tree, name: str):
@@ -110,81 +124,36 @@ def _sites(fn) -> list:
     return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, str(s[1])))
 
 
-def _splice(source: str, node, edit) -> tuple:
-    """(start, end, text): the edit as a replacement of source[start:end]."""
-    lines = source.splitlines(keepends=True)
-    kind, arg = edit
-    if kind == "const":
-        value = node.value + arg
-        return *_span(lines, node), str(value) if value >= 0 else f"({value})"
-    if kind == "cmp":
-        left, right, op = ([node.left] + node.comparators)[arg], node.comparators[arg], node.ops[arg]
-    elif isinstance(node, ast.AugAssign):
-        left, right, op = node.target, node.value, node.op
-    else:
-        left, right, op = node.left, node.right, node.op
-    start, end = _span(lines, left)[1], _span(lines, right)[0]
-    old, new = _TEXT[type(op)], _TEXT[_SWAP[type(op)]]
-    if isinstance(node, ast.AugAssign):
-        old, new = old + "=", new + "="
-    gap = source[start:end]
-    assert gap.replace("(", "").replace("\\", "").split() == [old], f"unexpected text {gap!r} around {old!r}"
-    at = start + gap.index(old)
-    return at, at + len(old), new
-
-
-class _Fold(ast.NodeTransformer):
-    """Reads -c, c an int constant, as the constant -c, as a spliced negative constant parses."""
-
-    def visit_UnaryOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant) and type(node.operand.value) is int:
-            return ast.Constant(-node.operand.value)
-        return node
-
-
-def _shape(fn) -> str:
-    return ast.dump(_Fold().visit(copy.deepcopy(fn)))
-
-
-def _mutated_tree(fn, index: int):
-    """A copy of ``fn`` with the edit of site ``index`` applied to the tree."""
-    fn = copy.deepcopy(fn)
-    node, (kind, arg) = _sites(fn)[index]
-    if kind == "const":
-        node.value += arg
-    elif kind == "cmp":
-        node.ops[arg] = _SWAP[type(node.ops[arg])]()
-    else:
-        node.op = _SWAP[type(node.op)]()
-    return fn
-
-
-def _around(fn, node):
-    """The expression quoted in a label: a constant's parent (past a sign) or the edited node, if short."""
+def _quoted(fn, node):
+    """The expression a label quotes: a constant's parent (past a sign), else the edited node."""
     if isinstance(node, ast.Constant):
         parents = {id(sub): up for up in ast.walk(fn) for sub in ast.iter_child_nodes(up)}
         up = parents[id(node)]
         node = parents[id(up)] if isinstance(up, ast.UnaryOp) else up
-    return node if node.end_lineno == node.lineno and node.end_col_offset - node.col_offset <= 50 else None
+    return node
 
 
 def mutants(name: str) -> list:
-    """(line in the function, label, mutated module source) per edit of the function ``name``."""
-    source = (ROOT / TARGETS[name][0]).read_text()
-    fn = _function(ast.parse(source), name)
-    lines = source.splitlines(keepends=True)
+    """(line in the function, label, mutated module source) per edit of the function ``name``.
+
+    Each mutant is a deep copy of the module tree with one edit applied,
+    and its source is ``ast.unparse`` of that tree.
+    """
+    tree = ast.parse((ROOT / TARGETS[name][0]).read_text())
     out = []
-    for index, (node, edit) in enumerate(_sites(fn)):
-        start, end, new = _splice(source, node, edit)
-        text = source[:start] + new + source[end:]
-        got = _function(ast.parse(text), name)
-        assert _shape(got) == _shape(_mutated_tree(fn, index)), f"{name}: site {index} spliced wrongly"
-        around = _around(fn, node)  # else the 20 characters either side of the edit on its line
-        low, high = _span(lines, around) if around else (
-            max(start - 20, source.rfind("\n", 0, start) + 1), min(end + 20, source.find("\n", end)))
-        before, after = source[low:high], source[low:start] + new + source[end:high]
-        out.append((node.lineno - fn.lineno, " ".join(before.split()) + "  ->  " + " ".join(after.split()), text))
+    for index in range(len(_sites(_function(tree, name)))):
+        mutant = copy.deepcopy(tree)
+        fn = _function(mutant, name)
+        node, (kind, arg) = _sites(fn)[index]
+        before = ast.unparse(_quoted(fn, node))
+        if kind == "const":
+            node.value += arg
+        elif kind == "cmp":
+            node.ops[arg] = _SWAP[type(node.ops[arg])]()
+        else:
+            node.op = _SWAP[type(node.op)]()
+        label = f"{before}  ->  {ast.unparse(_quoted(fn, node))}"
+        out.append((node.lineno - fn.lineno, label, ast.unparse(mutant)))
     return out
 
 

@@ -928,6 +928,8 @@ def test_fiber_multiplicity_examples():
     assert fiber_multiplicity_at(Scroll(13, 9, 0), C(4, -40), 3) == 4
     assert fiber_multiplicity_at(Scroll(12, 8, 0), C(4, -36), 3) == 3
     assert fiber_multiplicity_at(Scroll(5, 1, 0), C(0, 0), 3) == 0
+    # d_2 = d_1 - 1 with 0 <= h*d_1 + f < h: the support is {x_1^2, x_1*x_2}
+    assert fiber_multiplicity_at(Scroll(2, 1), C(2, -3), 2) == 1
     with pytest.raises(IndexOutOfRange):
         fiber_multiplicity_at(Scroll(5, 1, 0), C(0, 0), 4)
     with pytest.raises(NegativeDegree):

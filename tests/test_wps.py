@@ -217,7 +217,9 @@ def test_infer_ring_rejects_bad_input():
 
 
 def test_infer_ring_refuses_a_model_past_the_limit():
-    for seq in ([1, 10**9], [1, 0, 10**9], [1, MODEL_LIMIT + 1]):
+    # the last has relations in the model when the limit is reached: 1 000 generators,
+    # 40 000 degree-2 relations, then 60 000 more generators at degree 3
+    for seq in ([1, 10**9], [1, 0, 10**9], [1, MODEL_LIMIT + 1], [1, 1000, 460500, 127227000]):
         with pytest.raises(ModelTooLarge):
             infer_ring(seq)
     # the limit itself is built, and so is a large model that fits under it
