@@ -331,7 +331,7 @@ def _checks_cone(case: ClassificationCase) -> list:
     return [
         CheckResult(
             "branch analysis verdict",
-            cover.Verdict.PASSES_DU_VAL_NECESSARY,
+            cover._PASSES,
             report.verdict,
             "generic fiber multiplicity <= 3 at the distinguished point",
         ),
@@ -396,24 +396,22 @@ def _checks_cone(case: ClassificationCase) -> list:
     ]
 
 
-_SUITES = {
-    PruneKind.CONE: _checks_cone,
-    PruneKind.RULED_SEXTIC: _checks_ruled_sextic,
-    PruneKind.PRODUCT: _checks_product,
-}
-
-
 def case_checks(case: ClassificationCase) -> list:
     """Evaluate the suite of the case's kind; never raises on a failing check.
 
-    The point case has no normal bundle; the others follow :func:`prune`.
+    The point case has no normal bundle; the others follow :func:`prune`,
+    whose six outcomes are shared values, so the suite is picked by identity.
     """
     if case.nb is None:
         return _checks_quadric_sextic(case)
     verdict = prune(case.nb.a, case.nb.b)
-    if verdict.kind is PruneKind.EXCLUDED:
-        raise OutOfRange(f"splitting type ({case.nb.a}, {case.nb.b}) is excluded: {verdict.reason}")
-    return _SUITES[verdict.kind](case)
+    if verdict is _CONE:
+        return _checks_cone(case)
+    if verdict is _RULED_SEXTIC:
+        return _checks_ruled_sextic(case)
+    if verdict is _PRODUCT:
+        return _checks_product(case)
+    raise OutOfRange(f"splitting type ({case.nb.a}, {case.nb.b}) is excluded: {verdict.reason}")
 
 
 def verify_case(case: ClassificationCase) -> list:

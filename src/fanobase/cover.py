@@ -44,6 +44,11 @@ class Verdict(Enum):
         return self is Verdict.PASSES_DU_VAL_NECESSARY
 
 
+# the two verdicts, bound once: a module global read is cheaper than an Enum member read
+_PASSES = Verdict.PASSES_DU_VAL_NECESSARY
+_FAILS = Verdict.FAILS_DU_VAL_NECESSARY
+
+
 class DoubleCoverSpec(Value):
     """Base scroll and branch class D = 2L; the half L is read from D.
 
@@ -98,8 +103,7 @@ class BranchReport(Value):
 
     @property
     def verdict(self) -> Verdict:
-        passes = self.fiber_mult <= 3  # INFINITE orders above every integer
-        return Verdict.PASSES_DU_VAL_NECESSARY if passes else Verdict.FAILS_DU_VAL_NECESSARY
+        return _PASSES if self.fiber_mult <= 3 else _FAILS  # INFINITE orders above every integer
 
     def to_dict(self) -> dict:
         """The one output record: CLI text and JSON render it."""

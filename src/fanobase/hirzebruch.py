@@ -22,7 +22,7 @@ from .errors import (
     Value,
     require_integers,
 )
-from .scroll import DivisorClass, Scroll, fixed_component_multiplicity
+from .scroll import DivisorClass, Scroll
 
 
 class SurfaceClass(Value):
@@ -65,6 +65,8 @@ class SurfaceClass(Value):
 
 def intersect2(c1: SurfaceClass, c2: SurfaceClass) -> int:
     """Intersection pairing -e*xi1*xi2 + xi1*fib2 + xi2*fib1."""
+    if type(c1) is not SurfaceClass or type(c2) is not SurfaceClass:
+        raise FanobaseError(f"intersect2 needs two surface classes, got {c1!r} and {c2!r}")
     c1._same_surface(c2)
     return -c1.e * c1.xi * c2.xi + c1.xi * c2.fib + c2.xi * c1.fib
 
@@ -83,18 +85,25 @@ def canonical_surface_class(e: int) -> SurfaceClass:
 def genus(c: SurfaceClass) -> int:
     """Arithmetic genus by adjunction, 1 + c.(c + K)/2.
 
-    Only classes of effective shape (xi >= 0) are accepted; the pairing
-    c.(c + K) is always even for integral classes, which is asserted.
+    With K = -2*(minimal section) - (e+2)*(fiber), c + K = (xi - 2, fib - e - 2),
+    so the pairing is -e*xi*(xi - 2) + xi*(fib - e - 2) + (xi - 2)*fib in
+    closed form.  Only classes of effective shape (xi >= 0) are accepted;
+    the pairing is always even for integral classes, which is asserted.
     """
-    if c.xi < 0:
+    if type(c) is not SurfaceClass:
+        raise FanobaseError(f"genus needs a surface class, got {c!r}")
+    e, xi, fib = c.e, c.xi, c.fib
+    if xi < 0:
         raise NotEffectiveShape(f"{c} has negative section coefficient")
-    pairing = intersect2(c, c + canonical_surface_class(c.e))
+    pairing = -e * xi * (xi - 2) + xi * (fib - e - 2) + (xi - 2) * fib
     assert pairing % 2 == 0, "adjunction pairing must be even"
     return 1 + pairing // 2
 
 
 def from_scroll(s: Scroll, c: DivisorClass) -> SurfaceClass:
     """Basis change from a rank-2 scroll: (h, f) -> (h, h*d1 + f) on Sigma_(d1-d2)."""
+    if type(s) is not Scroll or type(c) is not DivisorClass:
+        raise FanobaseError(f"from_scroll needs a scroll and a divisor class, got {s!r} and {c!r}")
     if s.rank != 2:
         raise RankMismatch(f"{s!r} is not a surface")
     d1, d2 = s.twists
@@ -103,6 +112,8 @@ def from_scroll(s: Scroll, c: DivisorClass) -> SurfaceClass:
 
 def to_scroll(c: SurfaceClass):
     """Inverse basis change onto the normal form F(e, 0)."""
+    if type(c) is not SurfaceClass:
+        raise FanobaseError(f"to_scroll needs a surface class, got {c!r}")
     return Scroll(c.e, 0), DivisorClass(c.xi, c.fib - c.xi * c.e)
 
 
@@ -111,14 +122,16 @@ def forced_minimal_decomposition(c: SurfaceClass):
 
     ``|c|`` is non-empty exactly when xi >= 0 and fib >= 0 (the top
     support monomial has weight fib), otherwise EmptySystem.  On Sigma_e,
-    e >= 1, the minimal section is the rigid class (1, -e) of F(e, 0), so
-    its multiplicity mu is the scroll's fixed-component count, read off
-    the exponent range in closed form; on Sigma_0 nothing is fixed.
-    Returns (mu, residual) with residual = c - mu*s = (xi - mu)s + fib*f,
-    s the minimal section, and residual . s >= 0.
+    e >= 1, the minimal section s is fixed in ``|c|`` exactly while
+    c . s = fib - e*xi < 0, and subtracting s raises c . s by e, so the
+    least mu with s . (c - mu*s) >= 0 is mu = max(0, xi - fib // e); on
+    Sigma_0 nothing is fixed.  Returns (mu, residual) with residual =
+    c - mu*s = (xi - mu)s + fib*f, and residual . s >= 0.
     """
-    if c.xi < 0 or c.fib < 0:
+    if type(c) is not SurfaceClass:
+        raise FanobaseError(f"forced_minimal_decomposition needs a surface class, got {c!r}")
+    e, xi, fib = c.e, c.xi, c.fib
+    if xi < 0 or fib < 0:
         raise EmptySystem(f"|{c}| is empty")
-    surface, scroll_class = to_scroll(c)
-    mu = fixed_component_multiplicity(surface, DivisorClass(1, -c.e), scroll_class) if c.e else 0
-    return mu, SurfaceClass(c.e, c.xi - mu, c.fib)
+    mu = max(0, xi - fib // e) if e else 0
+    return mu, SurfaceClass(e, xi - mu, fib)

@@ -1,7 +1,7 @@
 """Mutation table for the section count ``scroll._count``, the cone-case path
 (``classify._checks_cone``, ``classify.prune``,
 ``cover.branch_for_taut_anticanonical``, ``hirzebruch.forced_minimal_decomposition``,
-the two methods of ``cover.DoubleCoverSpec``) and the kernels
+``hirzebruch.genus``, the two methods of ``cover.DoubleCoverSpec``) and the kernels
 ``wps._series``, ``wps.infer_ring``, ``scroll._exponent_range`` and
 ``cover.analyze_cover``.  A target named ``"Class.method"`` is looked up in
 that class's body.
@@ -11,11 +11,12 @@ runs only those targets, with none every target, and an unknown name exits 2
 and lists ``TARGETS``.  Standard library only, and not collected by pytest
 (the name does not match ``test_*.py``).
 Each site inside a target function gets one ``ast`` edit at a time: an
-int constant +1 and -1, ``<`` <-> ``<=``, ``>`` <-> ``>=``, ``+`` <-> ``-``
-(``+=`` <-> ``-=`` too).  A mutant is a deep copy of the module tree with
-the one edit applied, and its source is that tree rendered by
-``ast.unparse``, so the text is the tree by construction (comments and
-layout are not kept).  ``tests/test_mutants.py`` checks in Tier-1 that
+int constant +1 and -1 (a negative result is written as a unary minus
+on its absolute value, which is how it parses back), ``<`` <-> ``<=``,
+``>`` <-> ``>=``, ``+`` <-> ``-`` (``+=`` <-> ``-=`` too).  A mutant is a
+deep copy of the module tree with the one edit applied, and its source
+is that tree rendered by ``ast.unparse``, so the text is the tree by
+construction (comments and layout are not kept).  ``tests/test_mutants.py`` checks in Tier-1 that
 every target module round-trips through ``ast.unparse``.
 
 Each mutant runs its function's test modules in a fresh temporary copy of
@@ -60,6 +61,8 @@ TARGETS = {
                                       ("tests/test_cover.py", "tests/test_classify.py", "tests/test_acceptance.py")),
     "forced_minimal_decomposition": ("src/fanobase/hirzebruch.py",
                                      ("tests/test_hirzebruch.py", "tests/test_cover.py", "tests/test_acceptance.py")),
+    "genus": ("src/fanobase/hirzebruch.py",
+              ("tests/test_hirzebruch.py", "tests/test_classify.py", "tests/test_acceptance.py")),
     "DoubleCoverSpec.__init__": ("src/fanobase/cover.py",
                                  ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
     "DoubleCoverSpec.half": ("src/fanobase/cover.py",
@@ -82,6 +85,9 @@ EQUIVALENT = {
     ("_count", 21, "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 0  ->  "
                    "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 1"):
         "the bound is only compared with WALK_BUDGET = 10**5, which 1 does not exceed either",
+    ("genus", 14, "pairing % 2  ->  pairing % 1"):
+        "the pairing -e*xi*(xi - 1) + 2*(xi*fib - xi - fib) is even for every integral class, "
+        "so the assert holds either way",
     ("_series", 15, "n_max // 16  ->  n_max // 15"):
         "the switch only picks one of two forms of the same division step, so only the speed changes",
     ("_series", 15, "n_max // 16  ->  n_max // 17"):
@@ -124,13 +130,41 @@ def _sites(fn) -> list:
     return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, str(s[1])))
 
 
-def _quoted(fn, node):
+def _quoted(parents: dict, node):
     """The expression a label quotes: a constant's parent (past a sign), else the edited node."""
     if isinstance(node, ast.Constant):
-        parents = {id(sub): up for up in ast.walk(fn) for sub in ast.iter_child_nodes(up)}
         up = parents[id(node)]
         node = parents[id(up)] if isinstance(up, ast.UnaryOp) else up
     return node
+
+
+def _replace(up, node, new) -> None:
+    """Put ``new`` where the child ``node`` of ``up`` stands."""
+    for field, value in ast.iter_fields(up):
+        if value is node:
+            setattr(up, field, new)
+        elif isinstance(value, list):
+            value[:] = [new if item is node else item for item in value]
+
+
+def _edit(tree, name: str, index: int) -> tuple:
+    """Apply edit ``index`` of the function ``name`` to ``tree`` in place; (line in the function, label)."""
+    fn = _function(tree, name)
+    node, (kind, arg) = _sites(fn)[index]
+    parents = {id(sub): up for up in ast.walk(fn) for sub in ast.iter_child_nodes(up)}
+    quoted = _quoted(parents, node)
+    before = ast.unparse(quoted)
+    if kind == "const":
+        value = node.value + arg
+        if value < 0:  # ast.unparse writes Constant(-1) bare, which would bind looser than ** or .attr
+            _replace(parents[id(node)], node, ast.UnaryOp(ast.USub(), ast.Constant(-value)))
+        else:
+            node.value = value
+    elif kind == "cmp":
+        node.ops[arg] = _SWAP[type(node.ops[arg])]()
+    else:
+        node.op = _SWAP[type(node.op)]()
+    return node.lineno - fn.lineno, f"{before}  ->  {ast.unparse(quoted)}"
 
 
 def mutants(name: str) -> list:
@@ -143,17 +177,8 @@ def mutants(name: str) -> list:
     out = []
     for index in range(len(_sites(_function(tree, name)))):
         mutant = copy.deepcopy(tree)
-        fn = _function(mutant, name)
-        node, (kind, arg) = _sites(fn)[index]
-        before = ast.unparse(_quoted(fn, node))
-        if kind == "const":
-            node.value += arg
-        elif kind == "cmp":
-            node.ops[arg] = _SWAP[type(node.ops[arg])]()
-        else:
-            node.op = _SWAP[type(node.op)]()
-        label = f"{before}  ->  {ast.unparse(_quoted(fn, node))}"
-        out.append((node.lineno - fn.lineno, label, ast.unparse(mutant)))
+        line, label = _edit(mutant, name, index)
+        out.append((line, label, ast.unparse(mutant)))
     return out
 
 

@@ -140,8 +140,8 @@ def _subclasses(cls):
 # values one cone_case(m), its case_checks and one analyze_cover(m) build, whatever m:
 # O(1), the Sigma_4 section and the prune verdict are built once at import
 CONE_PATH_VALUES = {
-    "NormalBundle": 1, "ClassificationCase": 1, "CaseVerdict": 0, "Scroll": 4, "DoubleCoverSpec": 2,
-    "DivisorClass": 9, "BranchReport": 2, "SurfaceClass": 5, "PencilClass": 3, "BlowupStep": 2,
+    "NormalBundle": 1, "ClassificationCase": 1, "CaseVerdict": 0, "Scroll": 3, "DoubleCoverSpec": 2,
+    "DivisorClass": 7, "BranchReport": 2, "SurfaceClass": 3, "PencilClass": 3, "BlowupStep": 2,
     "CheckResult": 19,
 }
 

@@ -11,6 +11,8 @@ from fanobase import (
     Scroll,
     SurfaceClass,
     SurfaceMismatch,
+    canonical_surface_class,
+    fixed_component_multiplicity,
     forced_minimal_decomposition,
     from_scroll,
     genus,
@@ -44,6 +46,17 @@ def test_genus_examples():
     assert genus(SurfaceClass(4, 1, 4)) == 0
     with pytest.raises(NotEffectiveShape):
         genus(SurfaceClass(4, -1, 3))
+
+
+def test_genus_closed_form_matches_adjunction_with_k():
+    # second route: build K and c + K and take the pairing with intersect2;
+    # xi = 0 takes the fibers and their multiples, which have genus 1 - fib
+    for e in range(8):
+        for xi in range(9):
+            for fib in range(-6, 31):
+                c = SurfaceClass(e, xi, fib)
+                assert genus(c) == 1 + intersect2(c, c + canonical_surface_class(e)) // 2, c
+    assert genus(SurfaceClass(4, 0, 1)) == 0
 
 
 def test_all_sections_are_rational():
@@ -87,9 +100,10 @@ def split_one_copy_at_a_time(c):
 
 
 def test_forced_decomposition_matches_scroll_fixed_component():
-    # the closed form (the scroll's fixed-component count for the rigid
-    # class (1, -e)) against the subtraction loop, and the cone test
-    # xi, fib >= 0 against h0 in the scroll basis
+    # the closed form mu = max(0, xi - fib // e) against the subtraction
+    # loop and, for e >= 1, against the scroll's fixed-component count of
+    # the rigid class (1, -e); the cone test xi, fib >= 0 against h0 in the
+    # scroll basis
     nonzero = 0
     for e in range(8):
         for xi in range(-3, 8):
@@ -102,8 +116,29 @@ def test_forced_decomposition_matches_scroll_fixed_component():
                     continue
                 split = forced_minimal_decomposition(c)
                 assert split == split_one_copy_at_a_time(c), c
+                if e:
+                    rigid = DivisorClass(1, -e)
+                    assert split[0] == fixed_component_multiplicity(surface, rigid, scroll_class), c
                 nonzero += split[0] > 0
     assert nonzero >= 100
+
+
+def test_wrong_types_are_refused():
+    c = SurfaceClass(4, 4, 12)
+    for bad in (None, (4, 4, 12), DivisorClass(4, 12)):
+        for call in (
+            lambda: genus(bad),
+            lambda: intersect2(bad, c),
+            lambda: intersect2(c, bad),
+            lambda: to_scroll(bad),
+            lambda: forced_minimal_decomposition(bad),
+            lambda: from_scroll(bad, DivisorClass(4, -8)),
+        ):
+            with pytest.raises(FanobaseError):
+                call()
+    for bad in (None, (4, -8), c):
+        with pytest.raises(FanobaseError):
+            from_scroll(Scroll(5, 1), bad)
 
 
 def test_from_scroll_examples():

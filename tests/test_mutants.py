@@ -7,6 +7,7 @@ in a fraction of a second, instead of after a full table run.
 """
 
 import ast
+import copy
 from functools import cache
 
 import mutants
@@ -43,3 +44,21 @@ def test_each_mutant_is_one_edit_of_its_module():
             edits = _edits(original, ast.parse(text))
             assert len(edits) == 1, (name, line, label)
             assert isinstance(edits[0], (ast.Constant, ast.cmpop, ast.operator)), (name, line, label)
+
+
+def test_negative_constant_edits_parse_back_to_their_edited_tree():
+    # ast.unparse writes Constant(-1) bare, so as the base of ** or of an
+    # attribute its text would be a different mutant; only those sites are
+    # built, each in a module of the one statement that holds the target
+    trees = _trees()
+    negative = 0
+    for name, (path, _) in mutants.TARGETS.items():
+        tree = trees[path]
+        top = next(stmt for stmt in tree.body if getattr(stmt, "name", None) == name.split(".")[0])
+        for index, (node, (kind, arg)) in enumerate(mutants._sites(mutants._function(tree, name))):
+            if kind == "const" and node.value + arg < 0:
+                mutant = ast.Module(body=[copy.deepcopy(top)], type_ignores=[])
+                line, label = mutants._edit(mutant, name, index)
+                assert ast.dump(ast.parse(ast.unparse(mutant))) == ast.dump(mutant), (name, line, label)
+                negative += 1
+    assert negative
