@@ -45,10 +45,14 @@ class SurfaceClass(Value):
             raise SurfaceMismatch(f"classes live on Sigma_{self.e} and Sigma_{other.e}")
 
     def __add__(self, other):
+        if type(other) is not SurfaceClass:
+            return NotImplemented
         self._same_surface(other)
         return SurfaceClass(self.e, self.xi + other.xi, self.fib + other.fib)
 
     def __sub__(self, other):
+        if type(other) is not SurfaceClass:
+            return NotImplemented
         self._same_surface(other)
         return SurfaceClass(self.e, self.xi - other.xi, self.fib - other.fib)
 

@@ -30,9 +30,13 @@ class PencilClass(Value):
         set_ell(self, ell)
 
     def __add__(self, other):
+        if type(other) is not PencilClass:
+            return NotImplemented
         return PencilClass(self.gamma + other.gamma, self.ell + other.ell)
 
     def __sub__(self, other):
+        if type(other) is not PencilClass:
+            return NotImplemented
         return PencilClass(self.gamma - other.gamma, self.ell - other.ell)
 
     def __str__(self):

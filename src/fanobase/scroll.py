@@ -17,13 +17,15 @@ Conventions, fixed once for the whole package:
   fiberwise monomial x^e (|e| = h) in a member of ``(h, f)`` is a
   polynomial of degree ``e . d + f`` on the line, hence contributes
   ``max(0, e . d + f + 1)`` to h^0.  The support, the x^e with
-  ``e . d + f >= 0``, is filled depth first from a stack of classes for
-  :func:`monomial_support`, one exponent range (below) per class, the
-  last three coordinates in one comprehension (e_(n-2) over its range,
-  e_(n-1) from its closed-form least value up to the rest of the
-  degree, e_n what is left) and a class of degree 0 as its one
-  monomial; no exponent vector outside it is visited, so the cost is
-  linear in the output.
+  ``e . d + f >= 0``, is filled for :func:`monomial_support` depth
+  first from a stack, along the band split (below).  The rests of a
+  band are classes, each with its own exponent range, down to rank 3,
+  where one comprehension takes the band's last two coordinates.  The
+  rest of each x_1-exponent from k_t on holds every monomial of its
+  degree: it is a block, copied from process-wide tables of the full
+  simplices of exponent pairs and triples, kept up to degree
+  TABLE_DEGREE and built for the call above it.  No exponent vector
+  outside the support is visited, so the cost stays linear in the output.
 * The exponent range.  With e_i = k fixed, the heaviest monomial puts
   the other h - k on D, the largest twist other than d_i, so k occurs
   in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
@@ -106,6 +108,13 @@ INFINITE = _Infinite()
 # budget takes about 0.7 s (7 us per closed form, 2 vCPU Xeon, Python 3.11).
 WALK_BUDGET = 10**5
 
+# Highest degree whose full simplex of exponent pairs and triples stays in
+# the process-wide tables _PAIRS and _TRIPLES once built: 861 pairs and
+# 12 341 triples up to degree 40, 0.95 MB, and every block the fill of a
+# rank-4 class of degree <= 40 copies (the scroll-ladder draws h 20..40).
+TABLE_DEGREE = 40
+_PAIRS, _TRIPLES = {}, {}
+
 
 class DivisorClass(Value):
     """The class h*O(1) + f*F on a scroll; a pure value, addition componentwise."""
@@ -120,9 +129,13 @@ class DivisorClass(Value):
         set_f(self, f)
 
     def __add__(self, other):
+        if type(other) is not DivisorClass:
+            return NotImplemented
         return DivisorClass(self.h + other.h, self.f + other.f)
 
     def __sub__(self, other):
+        if type(other) is not DivisorClass:
+            return NotImplemented
         return DivisorClass(self.h - other.h, self.f - other.f)
 
     def __neg__(self):
@@ -186,37 +199,80 @@ def _exponent_range(d: tuple, h: int, f: int, i: int):
     return (lo, hi) if lo <= hi else None
 
 
+def _pairs(r: int) -> tuple:
+    """Every exponent pair of degree r, (0, r) first; kept in a process-wide table for r <= TABLE_DEGREE."""
+    block = _PAIRS.get(r)
+    if block is None:
+        block = tuple(zip(range(r + 1), range(r, -1, -1)))
+        if r <= TABLE_DEGREE:
+            _PAIRS[r] = block
+    return block
+
+
+def _triples(r: int) -> tuple:
+    """Every exponent triple of degree r, (0, 0, r) first; kept like :func:`_pairs`."""
+    block = _TRIPLES.get(r)
+    if block is None:
+        block = tuple([(a, b, r - a - b) for a in range(r + 1) for b in range(r - a + 1)])
+        if r <= TABLE_DEGREE:
+            _TRIPLES[r] = block
+    return block
+
+
 def _fill(d: tuple, h: int, f: int) -> set:
     """The support of ``|(h, f)|`` on F(d), d non-increasing, len(d) >= 2; empty when h < 0.
 
-    Depth first from a stack, one x_1-exponent range per class (module
-    docstring).  Each class pushed is non-empty and, if of degree >= 1,
-    has a child of degree 0, a monomial: the pops are at most twice the output.
+    Depth first from a stack, along the band split of :func:`_count`
+    (module docstring).  A class (prefix, d, h, f) outside the
+    Riemann-Roch regime pushes the rests of its band lo <= k < k_t as
+    classes and each k in k_t..hi as the block (prefix + (k,), d[1:],
+    h - k, None); a class in that regime (P <= 0) is itself a block.  A
+    block holds every monomial of its degree: peeled one coordinate at a
+    time down to rank 3, it is copied from :func:`_triples`.  A rank-3
+    class takes its band's rests in one comprehension and the rest of each
+    k >= k_t from :func:`_pairs`, and a rank-2 class is one comprehension
+    over lo..hi.  Every item pushed is non-empty, and one of degree >= 1
+    pushes a child of degree 0, a monomial: the pops are at most twice
+    the output.
     """
     out, stack = set(), [((), d, h, f)]
     while stack:
         prefix, d, h, f = stack.pop()
-        span = _exponent_range(d, h, f, 1)
-        if span is None:
-            continue
-        lo, hi = span
-        if len(d) == 2:
-            out.update([prefix + (k, h - k) for k in range(lo, hi + 1)])
-        elif len(d) == 3:
-            d1, d2, d3 = d
-            # k = e_(n-1) runs from its least value in the support of (r, f + j*d1) on F(d2, d3)
-            # up to r; a tie d2 = d3 leaves every k (the range made the rest non-empty)
-            out.update([
-                prefix + (j, k, r - k)
-                for j in range(lo, hi + 1)
-                for r in (h - j,)
-                for k in range(max(0, -((f + j * d1 + r * d3) // (d2 - d3))) if d2 > d3 else 0, r + 1)
-            ])
+        if f is not None:
+            span = _exponent_range(d, h, f, 1)
+            if span is None:
+                continue
+            lo, hi = span
+            if len(d) == 2:
+                out.update([prefix + (k, h - k) for k in range(lo, hi + 1)])
+                continue
+            d1, dn = d[0], d[-1]
+            p = -f - h * dn
+            if p > 0:  # so d1 > dn, and k_t <= hi = h since x_1^h is in the support
+                k_t = max(lo, -(-p // (d1 - dn)))
+                if len(d) > 3:
+                    rest = d[1:]
+                    stack.extend((prefix + (k,), rest, h - k, f + k * d1) for k in range(lo, k_t))
+                    stack.extend((prefix + (k,), rest, h - k, None) for k in range(k_t, hi + 1))
+                    continue
+                # in the band k = e_2 runs from its least value j0 >= 1 in the support of
+                # (r, f + j*d1) on F(d2, d3) up to r (module docstring); d2 > d3 there
+                d2 = d[1]
+                out.update([
+                    prefix + (j, k, r - k)
+                    for j in range(lo, k_t)
+                    for r in (h - j,)
+                    for k in range(-((f + j * d1 + r * dn) // (d2 - dn)), r + 1)
+                ])
+                out.update([pk + t for k in range(k_t, hi + 1) for pk in (prefix + (k,),) for t in _pairs(h - k)])
+                continue
+        if len(d) == 3:
+            out.update([prefix + t for t in _triples(h)])
         elif h == 0:
             out.add(prefix + (0,) * len(d))
         else:
-            d1, rest = d[0], d[1:]
-            stack.extend((prefix + (k,), rest, h - k, f + k * d1) for k in range(lo, hi + 1))
+            rest = d[1:]
+            stack.extend((prefix + (k,), rest, h - k, None) for k in range(h + 1))
     return out
 
 
@@ -340,23 +396,30 @@ def h0(s: Scroll, c: DivisorClass) -> int:
     rank-3 closed forms raises BandTooWide before it starts.  Returns 0
     for negative fiberwise degree.
     """
+    if type(s) is not Scroll or type(c) is not DivisorClass:
+        raise FanobaseError(f"h0 needs a scroll and a divisor class, got {s!r} and {c!r}")
     return _count(s.twists, c.h, c.f, True)
 
 
 def support_size(s: Scroll, c: DivisorClass) -> int:
     """Number of exponent vectors in :func:`monomial_support`, by the band split of :func:`h0`; 0 when c.h < 0."""
+    if type(s) is not Scroll or type(c) is not DivisorClass:
+        raise FanobaseError(f"support_size needs a scroll and a divisor class, got {s!r} and {c!r}")
     return _count(s.twists, c.h, c.f, False)
 
 
 def monomial_support(s: Scroll, c: DivisorClass) -> set:
     """Exponent vectors e, |e| = c.h, whose coefficient space is non-zero.
 
-    The support of the generic member of ``|c|``, filled depth first from
-    the exponent range one coordinate at a time, the last three in one
-    comprehension (e_(n-2) over its range, e_(n-1) from its closed-form
-    least value, e_n the rest of the degree); no exponent vector outside
-    it is visited, so the cost is linear in the size of the output.
+    The support of the generic member of ``|c|``, filled depth first
+    along the band split of :func:`h0`: the rests of each band one
+    exponent range at a time, and each Riemann-Roch rest as a whole block
+    copied from the tables of exponent pairs and triples.  No exponent
+    vector outside the support is visited, so the cost stays linear in
+    the size of the output.
     """
+    if type(s) is not Scroll or type(c) is not DivisorClass:
+        raise FanobaseError(f"monomial_support needs a scroll and a divisor class, got {s!r} and {c!r}")
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
     return _fill(s.twists, c.h, c.f)

@@ -2,9 +2,9 @@
 (``classify._checks_cone``, ``classify.prune``,
 ``cover.branch_for_taut_anticanonical``, ``hirzebruch.forced_minimal_decomposition``,
 ``hirzebruch.genus``, the two methods of ``cover.DoubleCoverSpec``) and the kernels
-``wps._series``, ``wps.infer_ring``, ``scroll._exponent_range`` and
-``cover.analyze_cover``.  A target named ``"Class.method"`` is looked up in
-that class's body.
+``wps._series``, ``wps.infer_ring``, ``scroll._exponent_range``,
+``cover.analyze_cover`` and the support fill ``scroll._fill``.  A target
+named ``"Class.method"`` is looked up in that class's body.
 
 Run as ``python3 tests/mutants.py [NAME ...]`` from anywhere; with names it
 runs only those targets, with none every target, and an unknown name exits 2
@@ -26,7 +26,9 @@ before any mutation (acceptance criterion 7 is), so a mutant is killed
 when its set of failing tests differs from that of the unmutated copy.
 Each run has a time cap, ten times the unmutated run and at least 60 s,
 and an address-space cap; on timeout the run's whole process group is
-killed, so no process is left behind.  A timeout counts as killed.
+killed, so no process is left behind.  A timeout counts as killed, and
+so does a run that leaves no readable test report (pytest can hit the
+address-space cap while writing it).
 
 Prints one table row per mutant and a summary; survivors named in
 ``EQUIVALENT`` are listed as equivalent with their reason.  Exits 1 when a
@@ -73,6 +75,7 @@ TARGETS = {
                         ("tests/test_scroll.py", "tests/test_cover.py", "tests/test_hirzebruch.py")),
     "analyze_cover": ("src/fanobase/cover.py",
                       ("tests/test_cover.py", "tests/test_classify.py", "tests/test_acceptance.py")),
+    "_fill": ("src/fanobase/scroll.py", ("tests/test_scroll.py", "tests/test_cli.py")),
 }
 
 # (function, line in the function, mutant label) -> why no test can tell the mutant from the code
@@ -85,6 +88,12 @@ EQUIVALENT = {
     ("_count", 21, "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 0  ->  "
                    "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 1"):
         "the bound is only compared with WALK_BUDGET = 10**5, which 1 does not exceed either",
+    ("_fill", 29, "p > 0  ->  p >= 0"):
+        "at P = 0 the class is in the Riemann-Roch regime with k_t = lo = 0 and an empty band, so its "
+        "blocks k = 0..h are the block it is: work moves between band and blocks, the output does not",
+    ("_fill", 29, "p > 0  ->  p > -1"):
+        "at P = 0 the class is in the Riemann-Roch regime with k_t = lo = 0 and an empty band, so its "
+        "blocks k = 0..h are the block it is: work moves between band and blocks, the output does not",
     ("genus", 14, "pairing % 2  ->  pairing % 1"):
         "the pairing -e*xi*(xi - 1) + 2*(xi*fib - xi - fib) is even for every integral class, "
         "so the assert holds either way",
@@ -216,11 +225,13 @@ def run_tests(modules: tuple, mutated=None, cap=None) -> tuple:
             except ProcessLookupError:
                 pass
         seconds = time.monotonic() - start
-        if not report.exists():
-            return {f"<no report, exit {proc.returncode}>"}, seconds
+        try:
+            cases = ET.parse(report).getroot().iter("testcase")
+        except (FileNotFoundError, ET.ParseError):  # none, or cut short by a MemoryError under the cap
+            return {f"<no readable report, exit {proc.returncode}>"}, seconds
         failing = {
             f"{case.get('classname')}::{case.get('name')}"
-            for case in ET.parse(report).getroot().iter("testcase")
+            for case in cases
             if case.find("failure") is not None or case.find("error") is not None
         }
         if proc.returncode not in (0, 1):

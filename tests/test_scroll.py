@@ -66,7 +66,7 @@ from fanobase import (
 )
 from fanobase import scroll as scroll_module
 from fanobase.errors import BandTooWide
-from fanobase.scroll import WALK_BUDGET, _floor_sums, _walk_bound, support_size
+from fanobase.scroll import TABLE_DEGREE, WALK_BUDGET, _floor_sums, _walk_bound, support_size
 
 C = DivisorClass
 
@@ -86,10 +86,14 @@ def oracle_h0(twists, h, f):
 
 
 def oracle_support(twists, h, f):
+    """Every exponent tuple of degree h with e . d + f >= 0: the first n - 1 exponents from
+    itertools.product, the last what is left of the degree."""
     return {
         e
-        for e in product(range(h + 1), repeat=len(twists))
-        if sum(e) == h and sum(ei * di for ei, di in zip(e, twists)) + f >= 0
+        for head in product(range(h + 1), repeat=len(twists) - 1)
+        if sum(head) <= h
+        for e in (head + (h - sum(head),),)
+        if sum(ei * di for ei, di in zip(e, twists)) + f >= 0
     }
 
 
@@ -383,6 +387,28 @@ def test_support_matches_oracle_with_a_middle_tie():
     assert nonempty >= 100
 
 
+@pytest.mark.parametrize("untied, tied", [((7, 2), (4, 4)), ((9, 5, 0), (6, 6, 1)), ((9, 6, 2, 0), (6, 6, 3, -1))],
+                         ids=["rank-2", "rank-3", "rank-4"])
+def test_support_matches_oracle_across_the_table_degree(untied, tied):
+    # degrees 38..42 straddle TABLE_DEGREE = 40, the last degree whose pairs and triples the
+    # fill keeps: a class in the Riemann-Roch regime, one whose band is x_1-exponent 0 alone
+    # (P = 1), one with a wide band (x_1 forced once, so lo = 1 < k_t) and one with d1 = d2;
+    # a second call reads the tables the first one left
+    n = len(untied)
+    for h in range(38, 43):
+        full = comb(h + n - 1, n - 1)
+        for d, f, size in (
+            (untied, -h * untied[-1] + 3, lambda size: size == full),
+            (untied, -h * untied[-1] - 1, lambda size: 0 < size < full),
+            (untied, -h * untied[1] - (untied[0] - untied[1]), lambda size: 0 < size < full),
+            (tied, -h * (tied[0] + tied[-1]) // 2, lambda size: 0 < size <= full),
+        ):
+            support = monomial_support(Scroll(d), C(h, f))
+            assert size(len(support)) and support == oracle_support(d, h, f), (d, h, f)
+            assert monomial_support(Scroll(d), C(h, f)) == support, (d, h, f)
+            assert set(scroll_module._PAIRS) | set(scroll_module._TRIPLES) <= set(range(TABLE_DEGREE + 1))
+
+
 def test_floor_sums_match_direct_sums():
     def direct(n, a, b, c):
         q = [(a * x + b) // c for x in range(n)]
@@ -652,6 +678,16 @@ def test_chain_walks_read_one_range_per_class(monkeypatch):
     assert 0 < len(calls) <= 2 * 599
 
 
+def test_support_blocks_of_degree_zero_are_one_monomial(monkeypatch):
+    # (1, 0) on F(1, 0, ..., 0) is one block; peeled, each rest of degree 0 is its one
+    # monomial, and only the last block of rank 4 reaches rank 3, as two triple blocks
+    calls = []
+    triples = scroll_module._triples
+    monkeypatch.setattr(scroll_module, "_triples", lambda r: calls.append(r) or triples(r))
+    assert len(monomial_support(Scroll((1,) + (0,) * 599), C(1, 0))) == 600
+    assert sorted(calls) == [0, 1]
+
+
 def test_floor_sum_levels_grow_linearly_in_the_digits(monkeypatch):
     # each Euclid level of _floor_sums takes two divmods; consecutive Fibonacci
     # twists make the longest chain, random rank-3 classes a typical one
@@ -736,6 +772,17 @@ def test_support_examples():
     assert monomial_support(Scroll(4, 0), C(1, -5)) == set()
     with pytest.raises(NegativeDegree):
         monomial_support(Scroll(4, 0), C(-1, 0))
+
+
+def test_wrong_types_are_refused():
+    s, c = Scroll(5, 1, 0), C(2, -4)
+    for count in (h0, support_size, monomial_support):
+        for bad in (None, (5, 1, 0), c, SurfaceClass(4, 2, 4)):
+            with pytest.raises(FanobaseError):
+                count(bad, c)
+        for bad in (None, (2, -4), s, SurfaceClass(4, 2, 4), PencilClass(2, -4)):
+            with pytest.raises(FanobaseError):
+                count(s, bad)
 
 
 def test_h0_bounds_support():

@@ -82,6 +82,18 @@ def test_scalar_multiplication(c, doubled, times_minus_three):
             k * c
 
 
+@pytest.mark.parametrize("c", [DivisorClass(1, 2), SurfaceClass(4, 1, 2), PencilClass(1, 2)],
+                         ids=["DivisorClass", "SurfaceClass", "PencilClass"])
+def test_sums_with_another_class_are_type_errors(c):
+    # the operators return NotImplemented, so Python raises TypeError, on either side
+    for other in (None, 1, (1, 2), DivisorClass(1, 0), SurfaceClass(4, 1, 0), PencilClass(1, 0)):
+        if type(other) is type(c):
+            continue
+        for operation in (lambda: c + other, lambda: c - other, lambda: other + c, lambda: other - c):
+            with pytest.raises(TypeError):
+                operation()
+
+
 def test_every_value_type_is_covered():
     assert len(SAMPLES) == 13
     assert {cls for cls, _ in SAMPLES} == set(Value.__subclasses__())
