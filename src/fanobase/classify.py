@@ -311,6 +311,30 @@ def _checks_product(case: ClassificationCase) -> list:
 
 _SIGMA4_SECTION = minimal_section(4)  # the curve the residual of every cone case misses
 
+# the passing records of the nine cone checks whose values do not depend on m, built once.
+# A CheckResult is immutable, so handing one out at every m is safe: _shared returns it only
+# when a fresh record would equal it, and any other pair (the verdict for m >= 13, the fixed
+# component at m = 3, a row's own bs_dim) gets a fresh record, as before
+_VERDICT = CheckResult("branch analysis verdict", cover._PASSES, cover._PASSES,
+                       "generic fiber multiplicity <= 3 at the distinguished point")
+_B_FORCED = CheckResult("fixed component multiplicity", 1, 1,
+                        "one copy of B is forced for m >= 4; at m = 3 the branch can avoid B")
+_ELLIPTIC_STAGE = CheckResult("elliptic stage degree", 0, 0)
+_QUARTIC_CLASS = CheckResult("branch restricts to the standard quartic class", (4, 4, 12), (4, 4, 12))
+_SPLITTING = CheckResult("forced splitting on Sigma_4", (1, (3, 12)), (1, (3, 12)),
+                         "one copy of the minimal section splits off")
+_MISSES_SECTION = CheckResult("residual misses the minimal section", 0, 0)
+_GENUS = CheckResult("residual genus", 10, 10, "adjunction")
+_MEETS_FIXED_PART = CheckResult("residual meets fixed part trivially", 0, 0, "R.B.Sigma = 0")
+_CURVE_BASE_LOCUS = CheckResult("curve base locus", 1, 1)
+
+
+def _shared(record: CheckResult, expected, got) -> CheckResult:
+    """``record`` when expected and got are its fields, else a fresh record under its name and rule."""
+    if expected == record.expected and got == record.got:
+        return record
+    return CheckResult(record.name, expected, got, record.rule)
+
 
 def _checks_cone(case: ClassificationCase) -> list:
     m = case.m
@@ -329,29 +353,15 @@ def _checks_cone(case: ClassificationCase) -> list:
     reduced = k3pencil.blowup_section_reduce(pulled)
 
     return [
-        CheckResult(
-            "branch analysis verdict",
-            cover._PASSES,
-            report.verdict,
-            "generic fiber multiplicity <= 3 at the distinguished point",
-        ),
-        CheckResult(
-            "fixed component multiplicity",
-            1 if m >= 4 else 0,
-            report.b_mult,
-            "one copy of B is forced for m >= 4; at m = 3 the branch can avoid B",
-        ),
+        _shared(_VERDICT, cover._PASSES, report.verdict),
+        _shared(_B_FORCED, 1 if m >= 4 else 0, report.b_mult),
         CheckResult("cover degree", 4 * m - 8, cover.cover_degree(spec), "(-K)^3 = 2 delta"),
         CheckResult(
             "first blowup degree",
             case.degree,
             blowup.blowup_degree(BlowupStep(4 * m - 8, m - 4, 0)),
         ),
-        CheckResult(
-            "elliptic stage degree",
-            0,
-            blowup.blowup_degree(BlowupStep(2 * m - 2, m - 2, 0)),
-        ),
+        _shared(_ELLIPTIC_STAGE, 0, blowup.blowup_degree(BlowupStep(2 * m - 2, m - 2, 0))),
         CheckResult("cone normal bundle", (m - 2, -2), (case.nb.a, case.nb.b)),
         CheckResult("pencil multiplicity from splitting type", m, case.nb.m),
         CheckResult(
@@ -359,29 +369,12 @@ def _checks_cone(case: ClassificationCase) -> list:
             m,
             blowup.exceptional_surface_index(case.nb),
         ),
-        CheckResult(
-            "branch restricts to the standard quartic class",
-            (4, 4, 12),
-            (on_sigma4.e, on_sigma4.xi, on_sigma4.fib),
-        ),
-        CheckResult(
-            "forced splitting on Sigma_4",
-            (1, (3, 12)),
-            (mu, (residual.xi, residual.fib)),
-            "one copy of the minimal section splits off",
-        ),
-        CheckResult(
-            "residual misses the minimal section",
-            0,
-            hirzebruch.intersect2(residual, _SIGMA4_SECTION),
-        ),
-        CheckResult("residual genus", 10, hirzebruch.genus(residual), "adjunction"),
-        CheckResult(
-            "residual meets fixed part trivially",
-            0,
-            intersect(base, [report.residual_class, report.b_class, cover._TAUT]),
-            "R.B.Sigma = 0",
-        ),
+        _shared(_QUARTIC_CLASS, (4, 4, 12), (on_sigma4.e, on_sigma4.xi, on_sigma4.fib)),
+        _shared(_SPLITTING, (1, (3, 12)), (mu, (residual.xi, residual.fib))),
+        _shared(_MISSES_SECTION, 0, hirzebruch.intersect2(residual, _SIGMA4_SECTION)),
+        _shared(_GENUS, 10, hirzebruch.genus(residual)),
+        _shared(_MEETS_FIXED_PART, 0,
+                intersect(base, [report.residual_class, report.b_class, cover._TAUT])),
         CheckResult("elephant pullback", (2, m), (pulled.gamma, pulled.ell)),
         CheckResult("section blowdown", (1, m), (reduced.gamma, reduced.ell)),
         CheckResult("pencil normal form", m, k3pencil.saint_donat_form(reduced)),
@@ -392,7 +385,7 @@ def _checks_cone(case: ClassificationCase) -> list:
             blowup.decomposition_fiber_coeff(case.nb.a),
             "-K = Z + B + (a+2)F with a = m - 2",
         ),
-        CheckResult("curve base locus", case.bs_dim, k3pencil.base_locus_dimension(m)),
+        _shared(_CURVE_BASE_LOCUS, case.bs_dim, k3pencil.base_locus_dimension(m)),
     ]
 
 

@@ -58,6 +58,9 @@ class DoubleCoverSpec(Value):
     __slots__ = ("base", "branch")
 
     def __init__(self, base: Scroll, branch: DivisorClass):
+        if type(base) is not Scroll or type(branch) is not DivisorClass:
+            raise FanobaseError(f"a double cover needs a scroll and a divisor class, "
+                                f"got {base!r} and {branch!r}")
         if branch.h % 2 or branch.f % 2:
             raise FanobaseError(f"a double cover branches along twice a class, got {branch}")
         set_base, set_branch = self._set

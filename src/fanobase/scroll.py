@@ -436,6 +436,8 @@ def intersect(s: Scroll, classes) -> int:
     the product before h_i.  Symmetric and multilinear in its arguments;
     a list or tuple is read as given, any other iterable copied once.
     """
+    if type(s) is not Scroll:
+        raise FanobaseError(f"intersect needs a scroll, got {s!r}")
     if type(classes) is not list and type(classes) is not tuple:
         try:
             classes = list(classes)
@@ -448,6 +450,8 @@ def intersect(s: Scroll, classes) -> int:
         )
     prod_h, mixed = 1, 0
     for c in classes:
+        if type(c) is not DivisorClass:
+            raise FanobaseError(f"intersect needs divisor classes, got {c!r}")
         mixed = mixed * c.h + prod_h * c.f
         prod_h *= c.h
     return sum(twists) * prod_h + mixed
@@ -462,6 +466,8 @@ def canonical_class(s: Scroll) -> DivisorClass:
     change, and -K - O(1) is half the branch class of the anticanonical
     double covers.
     """
+    if type(s) is not Scroll:
+        raise FanobaseError(f"canonical_class needs a scroll, got {s!r}")
     return DivisorClass(-s.rank, s.delta() - 2)
 
 
@@ -480,6 +486,9 @@ def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClas
     times exactly when every support monomial has e_1 >= mu*k: mu is the
     least x_1-exponent over the support, floor-divided by k.
     """
+    if type(s) is not Scroll or type(comp) is not DivisorClass or type(sys) is not DivisorClass:
+        raise FanobaseError(f"fixed_component_multiplicity needs a scroll and two divisor classes, "
+                            f"got {s!r}, {comp!r} and {sys!r}")
     k, d = comp.h, s.twists
     if k < 1 or comp.f != -k * d[0] or d[0] == d[1]:
         if k == 0 and comp.f == 0:
@@ -503,6 +512,8 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
     is h minus the greatest x_i-exponent over the support, INFINITE
     when the support is empty.  Indices are 1-based, matching x_1 ... x_n.
     """
+    if type(s) is not Scroll or type(c) is not DivisorClass:
+        raise FanobaseError(f"fiber_multiplicity_at needs a scroll and a divisor class, got {s!r} and {c!r}")
     if type(i) is not int:
         require_integers("a coordinate index", (i,))
     d = s.twists
@@ -521,6 +532,8 @@ def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):
     them.  Classes restrict coefficient-wise, so the same (h, f) pair is
     returned together with the smaller scroll.
     """
+    if type(s) is not Scroll or type(c) is not DivisorClass:
+        raise FanobaseError(f"restrict_to_subscroll needs a scroll and a divisor class, got {s!r} and {c!r}")
     try:
         keep = tuple(keep)
     except TypeError:
@@ -542,6 +555,8 @@ def minimal_degree_data(s: Scroll):
     scroll of degree delta, so degree = codim + 1: a variety of minimal
     degree.
     """
+    if type(s) is not Scroll:
+        raise FanobaseError(f"minimal_degree_data needs a scroll, got {s!r}")
     if s.twists[-1] < 0:
         raise NegativeTwist(f"{s!r} has a negative twist; no morphism onto a scroll cone")
     delta = s.delta()

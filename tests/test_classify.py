@@ -137,17 +137,30 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-# values one cone_case(m), its case_checks and one analyze_cover(m) build, whatever m:
-# O(1), the Sigma_4 section and the prune verdict are built once at import
+# values one cone_case(m), its case_checks and one analyze_cover(m) build, whatever m, but for
+# the check records: O(1), the Sigma_4 section, the prune verdict and the passing records of
+# the nine m-independent checks are built once at import
 CONE_PATH_VALUES = {
     "NormalBundle": 1, "ClassificationCase": 1, "CaseVerdict": 0, "Scroll": 3, "DoubleCoverSpec": 2,
     "DivisorClass": 7, "BranchReport": 2, "SurfaceClass": 3, "PencilClass": 3, "BlowupStep": 2,
-    "CheckResult": 19,
+}
+SHARED_CHECKS = {
+    "branch analysis verdict", "fixed component multiplicity", "elliptic stage degree",
+    "branch restricts to the standard quartic class", "forced splitting on Sigma_4",
+    "residual misses the minimal section", "residual genus", "residual meets fixed part trivially",
+    "curve base locus",
 }
 
 
-@pytest.mark.parametrize("m", [3, 12, 400])
-def test_cone_path_builds_each_fixed_value_once(monkeypatch, m):
+# of the 19 checks, those whose shared record holds at m are not built: all nine at m = 12;
+# at m = 3 the branch can avoid B (expected 0), and past m = 12 the verdict fails
+@pytest.mark.parametrize("m, check_results, fresh", [
+    (3, 11, {"fixed component multiplicity"}),
+    (12, 10, set()),
+    (400, 11, {"branch analysis verdict"}),
+], ids=["3", "12", "400"])
+def test_cone_path_builds_each_fixed_value_once(monkeypatch, m, check_results, fresh):
+    at_seven = {c.name: c for c in case_checks(cone_case(7))}
     built = Counter()
     for cls in _subclasses(Value):
         if "__init__" in vars(cls):
@@ -156,9 +169,12 @@ def test_cone_path_builds_each_fixed_value_once(monkeypatch, m):
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
-    case_checks(cone_case(m))
+    checks = case_checks(cone_case(m))
     analyze_cover(m)
-    assert built == Counter(CONE_PATH_VALUES)
+    assert built == Counter({**CONE_PATH_VALUES, "CheckResult": check_results})
+    # each shared record is the one object that m = 7 also returns; every other record is new
+    assert {c.name for c in checks if c is at_seven[c.name]} == SHARED_CHECKS - fresh
+    assert len(checks) - check_results == len(SHARED_CHECKS - fresh)
     # prune hands out one shared verdict per outcome
     assert prune(m - 2, -2) is prune(m - 1, -2)
 

@@ -783,6 +783,31 @@ def test_wrong_types_are_refused():
         for bad in (None, (2, -4), s, SurfaceClass(4, 2, 4), PencilClass(2, -4)):
             with pytest.raises(FanobaseError):
                 count(s, bad)
+    rigid = C(1, -5)
+    scroll_slots = [
+        lambda bad: intersect(bad, [c, c, c]),
+        lambda bad: canonical_class(bad),
+        lambda bad: fixed_component_multiplicity(bad, rigid, c),
+        lambda bad: fiber_multiplicity_at(bad, c, 1),
+        lambda bad: restrict_to_subscroll(bad, (1, 2), c),
+        lambda bad: minimal_degree_data(bad),
+    ]
+    class_slots = [
+        lambda bad: intersect(s, [bad, c, c]),
+        lambda bad: intersect(s, [c, c, bad]),
+        lambda bad: fixed_component_multiplicity(s, bad, c),
+        lambda bad: fixed_component_multiplicity(s, rigid, bad),
+        lambda bad: fiber_multiplicity_at(s, bad, 1),
+        lambda bad: restrict_to_subscroll(s, (1, 2), bad),
+    ]
+    for call in scroll_slots:
+        for bad in (None, (5, 1, 0), c, SurfaceClass(4, 2, 4)):
+            with pytest.raises(FanobaseError):
+                call(bad)
+    for call in class_slots:
+        for bad in (None, (2, -4), s, SurfaceClass(4, 2, 4), PencilClass(2, -4)):
+            with pytest.raises(FanobaseError):
+                call(bad)
 
 
 def test_h0_bounds_support():

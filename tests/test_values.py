@@ -44,7 +44,7 @@ from fanobase import (
     case_checks,
     enumerate_cases,
 )
-from fanobase.errors import Value
+from fanobase.errors import FanobaseError, Value
 
 # one positional argument list per value type, in field order
 SAMPLES = [
@@ -92,6 +92,23 @@ def test_sums_with_another_class_are_type_errors(c):
         for operation in (lambda: c + other, lambda: c - other, lambda: other + c, lambda: other - c):
             with pytest.raises(TypeError):
                 operation()
+
+
+def test_fields_of_the_wrong_type_are_refused():
+    for cls, args in [
+        (DivisorClass, (None, 2)),
+        (Scroll, (5, None, 0)),
+        (SurfaceClass, (4, None, 2)),
+        (PencilClass, (1, None)),
+        (DoubleCoverSpec, (None, None)),
+        (DoubleCoverSpec, (None, DivisorClass(4, -4))),
+        (DoubleCoverSpec, ((5, 1, 0), DivisorClass(4, -4))),
+        (DoubleCoverSpec, (Scroll(5, 1, 0), None)),
+        (DoubleCoverSpec, (Scroll(5, 1, 0), (4, -4))),
+        (DoubleCoverSpec, (Scroll(5, 1, 0), SurfaceClass(4, 4, -4))),
+    ]:
+        with pytest.raises(FanobaseError):
+            cls(*args)
 
 
 def test_every_value_type_is_covered():
