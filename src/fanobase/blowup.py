@@ -54,11 +54,15 @@ class BlowupStep(Value):
 
 def blowup_degree(step: BlowupStep) -> int:
     """Anticanonical cube after blowing up the curve."""
+    if type(step) is not BlowupStep:
+        raise FanobaseError(f"blowup_degree needs a blowup step, got {step!r}")
     return step.ambient_degree - 2 * step.curve_degree - 2 + 2 * step.genus
 
 
 def exceptional_surface_index(nb: NormalBundle) -> int:
     """Index of the Hirzebruch surface P(N*) over the curve: a - b."""
+    if type(nb) is not NormalBundle:
+        raise FanobaseError(f"exceptional_surface_index needs a normal bundle, got {nb!r}")
     return nb.a - nb.b
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 
 from . import blowup, cover, hirzebruch, k3pencil, wps
 from .blowup import BlowupStep, NormalBundle
-from .errors import CheckFailure, OutOfRange, Value, require_integers
+from .errors import CheckFailure, FanobaseError, OutOfRange, Value, require_integers
 from .hirzebruch import from_scroll, minimal_section
 from .k3pencil import PencilClass
 from .scroll import Scroll, intersect
@@ -395,6 +395,8 @@ def case_checks(case: ClassificationCase) -> list:
     The point case has no normal bundle; the others follow :func:`prune`,
     whose six outcomes are shared values, so the suite is picked by identity.
     """
+    if type(case) is not ClassificationCase:
+        raise FanobaseError(f"case_checks needs a classification case, got {case!r}")
     if case.nb is None:
         return _checks_quadric_sextic(case)
     verdict = prune(case.nb.a, case.nb.b)

@@ -129,6 +129,8 @@ def branch_for_taut_anticanonical(s: Scroll) -> DoubleCoverSpec:
     Solving K_U = mu^*(K_W + L) = mu^*(-O(1)) gives L = -K_W - O(1) =
     (2, 2 - delta) on a rank-3 scroll, hence D = 2L = (4, 4 - 2*delta).
     """
+    if type(s) is not Scroll:
+        raise FanobaseError(f"branch_for_taut_anticanonical needs a scroll, got {s!r}")
     if len(s.twists) != 3:
         raise WrongRank(f"cover bookkeeping needs a threefold base, got {s!r}")
     return DoubleCoverSpec(base=s, branch=DivisorClass(4, 4 - 2 * sum(s.twists)))
@@ -136,6 +138,8 @@ def branch_for_taut_anticanonical(s: Scroll) -> DoubleCoverSpec:
 
 def cover_degree(spec: DoubleCoverSpec) -> int:
     """(-K)^3 of the cover: twice the top self-intersection of O(1)."""
+    if type(spec) is not DoubleCoverSpec:
+        raise FanobaseError(f"cover_degree needs a double cover, got {spec!r}")
     return 2 * intersect(spec.base, [_TAUT] * spec.base.rank)
 
 

@@ -13,7 +13,7 @@ locus dichotomy (a point exactly when m = 2), the degree formula
 cover family to the normal form.
 """
 
-from .errors import InvalidM, NoSection, NotElephantShape, Value, WrongSurface, require_integers
+from .errors import FanobaseError, InvalidM, NoSection, NotElephantShape, Value, WrongSurface, require_integers
 from .hirzebruch import SurfaceClass
 
 
@@ -45,6 +45,8 @@ class PencilClass(Value):
 
 def dot(c1: PencilClass, c2: PencilClass) -> int:
     """Lattice pairing -2*g1*g2 + g1*l2 + g2*l1."""
+    if type(c1) is not PencilClass or type(c2) is not PencilClass:
+        raise FanobaseError(f"dot needs two pencil classes, got {c1!r} and {c2!r}")
     return -2 * c1.gamma * c2.gamma + c1.gamma * c2.ell + c2.gamma * c1.ell
 
 
@@ -54,6 +56,8 @@ def square(c: PencilClass) -> int:
 
 def saint_donat_form(c: PencilClass) -> int:
     """Extract m from the normal form (section) + m*(fiber), m >= 2."""
+    if type(c) is not PencilClass:
+        raise FanobaseError(f"saint_donat_form needs a pencil class, got {c!r}")
     if c.gamma != 1 or c.ell < 2:
         raise NotElephantShape(f"{c} is not of the form Gamma + m f with m >= 2")
     return c.ell
@@ -89,6 +93,8 @@ def cover_pullback(c: SurfaceClass) -> PencilClass:
     The minimal section lies in the branch locus, so it pulls back with
     multiplicity two; fibers pull back to pencil fibers.  Squares double.
     """
+    if type(c) is not SurfaceClass:
+        raise FanobaseError(f"cover_pullback needs a surface class, got {c!r}")
     if c.e != 4:
         raise WrongSurface(f"pullback is defined on Sigma_4, got Sigma_{c.e}")
     return PencilClass(2 * c.xi, c.fib)
@@ -96,6 +102,8 @@ def cover_pullback(c: SurfaceClass) -> PencilClass:
 
 def blowup_section_reduce(c: PencilClass) -> PencilClass:
     """Subtract one copy of the section: the effect of blowing it up."""
+    if type(c) is not PencilClass:
+        raise FanobaseError(f"blowup_section_reduce needs a pencil class, got {c!r}")
     if c.gamma < 1:
         raise NoSection(f"{c} has no section summand to remove")
     return PencilClass(c.gamma - 1, c.ell)

@@ -24,8 +24,12 @@ Conventions, fixed once for the whole package:
   rest of each x_1-exponent from k_t on holds every monomial of its
   degree: it is a block, copied from process-wide tables of the full
   simplices of exponent pairs and triples, kept up to degree
-  TABLE_DEGREE and built for the call above it.  No exponent vector
-  outside the support is visited, so the cost stays linear in the output.
+  TABLE_DEGREE and built for the call above it.  The class asked at rank
+  2 or 3 and degree <= TABLE_DEGREE puts the tables' own tuples into the
+  output, no copies: a slice of the pairs, or of the triples from k_t
+  on.  Above that degree a slice would build the whole table (h + 1
+  pairs for a support of three), so none is taken: no exponent vector
+  outside the support is visited, and the cost stays linear in the output.
 * The exponent range.  With e_i = k fixed, the heaviest monomial puts
   the other h - k on D, the largest twist other than d_i, so k occurs
   in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
@@ -230,10 +234,13 @@ def _fill(d: tuple, h: int, f: int) -> set:
     block holds every monomial of its degree: peeled one coordinate at a
     time down to rank 3, it is copied from :func:`_triples`.  A rank-3
     class takes its band's rests in one comprehension and the rest of each
-    k >= k_t from :func:`_pairs`, and a rank-2 class is one comprehension
-    over lo..hi.  Every item pushed is non-empty, and one of degree >= 1
-    pushes a child of degree 0, a monomial: the pops are at most twice
-    the output.
+    k >= k_t from :func:`_pairs`, and a rank-2 class (always the class
+    asked: rank >= 4 peels down to rank 3 only) is the range lo..h.  With
+    an empty prefix and h <= TABLE_DEGREE these are slices of the tables
+    (module docstring), the triples with e_1 >= k_t one contiguous run;
+    above it the rank-2 pairs are zipped from two ranges.  Every item
+    pushed is non-empty, and one of degree >= 1 pushes a child of degree
+    0, a monomial: the pops are at most twice the output.
     """
     out, stack = set(), [((), d, h, f)]
     while stack:
@@ -243,8 +250,9 @@ def _fill(d: tuple, h: int, f: int) -> set:
             if span is None:
                 continue
             lo, hi = span
-            if len(d) == 2:
-                out.update([prefix + (k, h - k) for k in range(lo, hi + 1)])
+            if len(d) == 2:  # top level, as rank >= 4 peels down to rank 3 only; hi = h as d1 >= d2
+                out.update(_pairs(h)[lo:] if h <= TABLE_DEGREE
+                           else zip(range(lo, h + 1), range(h - lo, -1, -1), strict=True))
                 continue
             d1, dn = d[0], d[-1]
             p = -f - h * dn
@@ -264,10 +272,13 @@ def _fill(d: tuple, h: int, f: int) -> set:
                     for r in (h - j,)
                     for k in range(-((f + j * d1 + r * dn) // (d2 - dn)), r + 1)
                 ])
-                out.update([pk + t for k in range(k_t, hi + 1) for pk in (prefix + (k,),) for t in _pairs(h - k)])
+                if prefix or h > TABLE_DEGREE:
+                    out.update([pk + t for k in range(k_t, hi + 1) for pk in (prefix + (k,),) for t in _pairs(h - k)])
+                else:  # hi = h: the triples with a = k_t..h, after the h + 1 - a of each a < k_t
+                    out.update(_triples(h)[k_t * (h + 1) - k_t * (k_t - 1) // 2:])
                 continue
         if len(d) == 3:
-            out.update([prefix + t for t in _triples(h)])
+            out.update([prefix + t for t in _triples(h)] if prefix else _triples(h))
         elif h == 0:
             out.add(prefix + (0,) * len(d))
         else:

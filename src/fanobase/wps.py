@@ -97,6 +97,8 @@ def _series(gen_degrees, rel_degrees, n_max: int) -> list:
 
 def hilbert_coeffs(x: WeightedCI, n_max: int = DEFAULT_TRUNCATION) -> list:
     """Graded dimensions of the coordinate ring of ``x`` up to degree n_max."""
+    if type(x) is not WeightedCI:
+        raise FanobaseError(f"hilbert_coeffs needs a weighted complete intersection, got {x!r}")
     require_integers("a truncation degree", (n_max,))
     if n_max < 0:
         raise FanobaseError(f"n_max must be non-negative, got {n_max}")
@@ -113,6 +115,8 @@ def anticanonical_degree(x: WeightedCI):
     # imported here, its only use, so importing this module loads no fractions/decimal
     from fractions import Fraction
 
+    if type(x) is not WeightedCI:
+        raise FanobaseError(f"anticanonical_degree needs a weighted complete intersection, got {x!r}")
     if x.dimension != 3:
         raise WrongDimension(f"{x} has dimension {x.dimension}, need 3")
     value = Fraction(x.amplitude() ** 3 * prod(x.rel_degrees), prod(x.weights))

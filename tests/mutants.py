@@ -24,11 +24,17 @@ the repository (src, tests, demos, README.md, pyproject.toml), never in
 the working tree, with no test deselected.  A suite may already be red
 before any mutation (acceptance criterion 7 is), so a mutant is killed
 when its set of failing tests differs from that of the unmutated copy.
+That holds exactly when some test, or some test module's collection,
+fails in one run and not in the other, or runs in only one of them: a
+small pytest plugin, written into the copy with the unmutated run's
+failing set, compares each test as its teardown is reported and stops
+the session at the first that differs, which the table then names.  A
+run that differs in no test it ran is compared whole, as before.
 Each run has a time cap, ten times the unmutated run and at least 60 s,
 and an address-space cap; on timeout the run's whole process group is
 killed, so no process is left behind.  A timeout counts as killed, and
-so does a run that leaves no readable test report (pytest can hit the
-address-space cap while writing it).
+so does a run that leaves no readable record of its outcomes (pytest
+can hit the address-space cap while writing it).
 
 Prints one table row per mutant and a summary; survivors named in
 ``EQUIVALENT`` are listed as equivalent with their reason.  Exits 1 when a
@@ -37,6 +43,7 @@ mutant survives that is not listed there.
 
 import ast
 import copy
+import json
 import os
 import resource
 import shutil
@@ -45,7 +52,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,12 +94,6 @@ EQUIVALENT = {
     ("_count", 21, "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 0  ->  "
                    "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 1"):
         "the bound is only compared with WALK_BUDGET = 10**5, which 1 does not exceed either",
-    ("_fill", 29, "p > 0  ->  p >= 0"):
-        "at P = 0 the class is in the Riemann-Roch regime with k_t = lo = 0 and an empty band, so its "
-        "blocks k = 0..h are the block it is: work moves between band and blocks, the output does not",
-    ("_fill", 29, "p > 0  ->  p > -1"):
-        "at P = 0 the class is in the Riemann-Roch regime with k_t = lo = 0 and an empty band, so its "
-        "blocks k = 0..h are the block it is: work moves between band and blocks, the output does not",
     ("genus", 14, "pairing % 2  ->  pairing % 1"):
         "the pairing -e*xi*(xi - 1) + 2*(xi*fib - xi - fib) is even for every integral class, "
         "so the assert holds either way",
@@ -110,6 +110,44 @@ EQUIVALENT = {
     ("infer_ring", 40, "delta > 0  ->  delta > -1"):
         "at delta = 0 the generators grow by an empty list instead of the relations",
 }
+
+# pytest plugin written into each copy as mutant_outcomes.py: records the failing
+# tests, a failed collection counting as its node's, and with a baseline
+# stops at the first test whose failed/passed state differs from it
+PLUGIN = """import json
+
+BASELINE = {baseline!r}  # failing node ids of the unmutated run, None in that run
+RECORD = {record!r}
+failing, differing, sessions = set(), [], []
+
+
+def pytest_sessionstart(session):
+    sessions.append(session)
+
+
+def _settle(nodeid):
+    if BASELINE is not None and not differing and (nodeid in failing) != (nodeid in BASELINE):
+        differing.append(nodeid)
+        sessions[0].shouldstop = nodeid + " differs from the unmutated run"
+
+
+def pytest_collectreport(report):
+    if report.failed:
+        failing.add(report.nodeid)
+        _settle(report.nodeid)
+
+
+def pytest_runtest_logreport(report):
+    if report.failed:
+        failing.add(report.nodeid)
+    if report.when == "teardown":
+        _settle(report.nodeid)
+
+
+def pytest_sessionfinish(session):
+    with open(RECORD, "w") as fh:
+        json.dump({{"failing": sorted(failing), "first_difference": differing[0] if differing else None}}, fh)
+"""
 
 _SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Add: ast.Sub, ast.Sub: ast.Add}
 
@@ -195,8 +233,13 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_tests(modules: tuple, mutated=None, cap=None) -> tuple:
-    """(failing test ids or "timeout", seconds) for ``modules`` in a fresh copy, ``mutated`` = (path, text)."""
+def run_tests(modules: tuple, mutated=None, cap=None, baseline=None) -> tuple:
+    """(outcome, seconds) for ``modules`` in a fresh copy, ``mutated`` = (path, text).
+
+    The outcome is "timeout", the set of failing node ids, or, given the
+    unmutated run's set as ``baseline``, the one-element tuple of the
+    first node whose outcome differs from it, where the run stopped.
+    """
     with tempfile.TemporaryDirectory(prefix="fanobase-mutant-") as tmp:
         tmp = Path(tmp)
         for name in COPIED:
@@ -207,9 +250,12 @@ def run_tests(modules: tuple, mutated=None, cap=None) -> tuple:
                 shutil.copy2(src, tmp / name)
         if mutated:
             (tmp / mutated[0]).write_text(mutated[1])
-        report = tmp / "junit.xml"
-        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *modules]
+        record = tmp / "outcomes.json"
+        (tmp / "mutant_outcomes.py").write_text(PLUGIN.format(
+            baseline=None if baseline is None else sorted(baseline), record=str(record)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(tmp / "src"), str(tmp))),
+                   PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutant_outcomes", *modules]
         start = time.monotonic()
         proc = subprocess.Popen(argv, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                                 start_new_session=True, preexec_fn=_limit_memory)
@@ -226,14 +272,12 @@ def run_tests(modules: tuple, mutated=None, cap=None) -> tuple:
                 pass
         seconds = time.monotonic() - start
         try:
-            cases = ET.parse(report).getroot().iter("testcase")
-        except (FileNotFoundError, ET.ParseError):  # none, or cut short by a MemoryError under the cap
-            return {f"<no readable report, exit {proc.returncode}>"}, seconds
-        failing = {
-            f"{case.get('classname')}::{case.get('name')}"
-            for case in cases
-            if case.find("failure") is not None or case.find("error") is not None
-        }
+            outcomes = json.loads(record.read_text())
+        except (FileNotFoundError, ValueError):  # none, or cut short by a MemoryError under the cap
+            return {f"<no readable record, exit {proc.returncode}>"}, seconds
+        if outcomes["first_difference"] is not None:
+            return (outcomes["first_difference"],), seconds
+        failing = set(outcomes["failing"])
         if proc.returncode not in (0, 1):
             failing.add(f"<exit {proc.returncode}>")
         return failing, seconds
@@ -255,9 +299,11 @@ def main(names: list) -> int:
         print(f"{name}: {len(base)} failing before mutation ({', '.join(sorted(base)) or 'none'}), "
               f"{seconds:.1f} s, cap {cap:.0f} s", flush=True)
         for line, label, text in mutants(name):
-            failing, seconds = run_tests(modules, (path, text), cap)
+            failing, seconds = run_tests(modules, (path, text), cap, base)
             if failing == "timeout":
                 result = "killed (timeout)"
+            elif type(failing) is tuple:
+                result = f"killed (first at {failing[0]})"
             elif failing != base:
                 result = f"killed ({len(failing ^ base)} tests differ)"
             elif (name, line, label) in EQUIVALENT:

@@ -8,6 +8,7 @@ import pytest
 from fanobase import (
     CheckFailure,
     ClassificationCase,
+    FanobaseError,
     DivisorClass,
     NormalBundle,
     NotRigid,
@@ -224,3 +225,11 @@ def test_excluded_splitting_type_has_no_suite():
     )
     with pytest.raises(OutOfRange):
         case_checks(excluded)
+
+
+def test_wrong_types_are_refused():
+    case = enumerate_cases()[0]
+    for bad in (None, (case.label, case.m), case.label, case.nb):
+        for call in (case_checks, verify_case):
+            with pytest.raises(FanobaseError):
+                call(bad)

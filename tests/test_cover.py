@@ -64,6 +64,16 @@ def test_spec_stores_the_branch_and_reads_its_half():
             DoubleCoverSpec(base, odd)
 
 
+def test_wrong_types_are_refused():
+    spec = branch_for_taut_anticanonical(Scroll(5, 1, 0))
+    for bad in (None, (5, 1, 0), "F(5,1,0)", spec):
+        with pytest.raises(FanobaseError):
+            branch_for_taut_anticanonical(bad)
+    for bad in (None, (Scroll(5, 1, 0), C(4, -8)), "cover", Scroll(5, 1, 0)):
+        with pytest.raises(FanobaseError):
+            cover_degree(bad)
+
+
 def test_cover_degree_examples():
     assert cover_degree(branch_for_taut_anticanonical(Scroll(5, 1, 0))) == 12
     assert cover_degree(branch_for_taut_anticanonical(Scroll(12, 8, 0))) == 40

@@ -3,6 +3,7 @@
 import pytest
 
 from fanobase import (
+    FanobaseError,
     InvalidM,
     NoSection,
     NotElephantShape,
@@ -100,3 +101,20 @@ def test_elephant_chain_closes():
         pulled = cover_pullback(SurfaceClass(4, 1, m))
         assert blowup_section_reduce(pulled) == PencilClass(1, m)
         assert saint_donat_form(blowup_section_reduce(pulled)) == m
+
+
+def test_wrong_types_are_refused():
+    c = PencilClass(1, 4)
+    for bad in (None, (1, 4), "Gamma + 4 f", SurfaceClass(4, 1, 4)):
+        for call in (
+            lambda: dot(bad, c),
+            lambda: dot(c, bad),
+            lambda: square(bad),
+            lambda: saint_donat_form(bad),
+            lambda: blowup_section_reduce(bad),
+        ):
+            with pytest.raises(FanobaseError):
+                call()
+    for bad in (None, (4, 1, 4), "C0 + 4 f", c):
+        with pytest.raises(FanobaseError):
+            cover_pullback(bad)

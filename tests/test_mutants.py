@@ -3,12 +3,15 @@
 A mutant's source is ``ast.unparse`` of the edited module tree, so the
 table is only as good as the round trip of each target module through
 ``ast.unparse``, and as the names in ``TARGETS``.  Both are checked here
-in a fraction of a second, instead of after a full table run.
+in a fraction of a second, instead of after a full table run, and so is
+the outcome plugin each run loads, on stand-in reports.
 """
 
 import ast
 import copy
+import json
 from functools import cache
+from types import SimpleNamespace
 
 import mutants
 
@@ -62,3 +65,44 @@ def test_negative_constant_edits_parse_back_to_their_edited_tree():
                 assert ast.dump(ast.parse(ast.unparse(mutant))) == ast.dump(mutant), (name, line, label)
                 negative += 1
     assert negative
+
+
+def _plugin(baseline, record):
+    """The outcome plugin's namespace, rendered for ``baseline`` and started on a stand-in session."""
+    namespace = {}
+    exec(mutants.PLUGIN.format(baseline=baseline, record=str(record)), namespace)
+    session = SimpleNamespace(shouldstop=False)
+    namespace["pytest_sessionstart"](session)
+    return namespace, session
+
+
+def _report(nodeid, when, failed=False):
+    return SimpleNamespace(nodeid=nodeid, when=when, failed=failed)
+
+
+def test_outcome_plugin_stops_at_the_first_differing_test(tmp_path):
+    # t1 fails as in the baseline, t2 fails in setup only where the baseline passes it:
+    # the session stops at t2's teardown, and t3 after it is never compared
+    record = tmp_path / "record.json"
+    plugin, session = _plugin(["m.py::t1"], record)
+    for nodeid, failed_in in (("m.py::t1", "call"), ("m.py::t2", "setup"), ("m.py::t3", "call")):
+        for when in ("setup", "call", "teardown"):
+            plugin["pytest_runtest_logreport"](_report(nodeid, when, when == failed_in))
+            if nodeid == "m.py::t2" and when != "teardown":
+                assert not session.shouldstop
+    assert "m.py::t2" in session.shouldstop
+    plugin["pytest_sessionfinish"](session)
+    assert json.loads(record.read_text()) == {"failing": ["m.py::t1", "m.py::t2", "m.py::t3"],
+                                              "first_difference": "m.py::t2"}
+
+
+def test_outcome_plugin_records_without_a_baseline(tmp_path):
+    # the unmutated run only records, a failed collection counting as its node's
+    record = tmp_path / "record.json"
+    plugin, session = _plugin(None, record)
+    plugin["pytest_collectreport"](_report("m.py", "collect", True))
+    plugin["pytest_runtest_logreport"](_report("n.py::t", "call", True))
+    plugin["pytest_runtest_logreport"](_report("n.py::t", "teardown"))
+    plugin["pytest_sessionfinish"](session)
+    assert not session.shouldstop
+    assert json.loads(record.read_text()) == {"failing": ["m.py", "n.py::t"], "first_difference": None}

@@ -19,6 +19,7 @@ checks the closed-form rigidity test of the fixed-component count.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
@@ -407,6 +408,64 @@ def test_support_matches_oracle_across_the_table_degree(untied, tied):
             assert size(len(support)) and support == oracle_support(d, h, f), (d, h, f)
             assert monomial_support(Scroll(d), C(h, f)) == support, (d, h, f)
             assert set(scroll_module._PAIRS) | set(scroll_module._TRIPLES) <= set(range(TABLE_DEGREE + 1))
+
+
+def _regimes(d: tuple, h: int) -> tuple:
+    """f for (h, f) on F(d), d1 > dn: Riemann-Roch, P = 1, and k_t = h (P = (h - 1)*(d1 - dn) + 1)."""
+    return -h * d[-1] + 2, -h * d[-1] - 1, -h * d[-1] - (h - 1) * (d[0] - d[-1]) - 1
+
+
+def test_riemann_roch_blocks_are_the_tables_own_tuples():
+    # at the top level with h <= TABLE_DEGREE the monomials whose rest (h - e_1, f + e_1*d1)
+    # holds every monomial of its degree are inserted as the objects of the simplex tables,
+    # not as copies: on rank 3 those with e_1*d1 + (h - e_1)*d3 + f >= 0, on rank 2 all
+    checked = Counter()
+    for d in ((9, 5, 0), (7, 3, -2), (7, 2), (5, -2)):
+        for h in range(TABLE_DEGREE + 1):
+            table = {id(t) for t in (scroll_module._pairs(h) if len(d) == 2 else scroll_module._triples(h))}
+            for f in _regimes(d, h):
+                support = monomial_support(Scroll(d), C(h, f))
+                block = [e for e in support if e[0] * d[0] + (h - e[0]) * d[-1] + f >= 0]
+                assert all(id(e) in table for e in block), (d, h, f)
+                checked[len(d), h == TABLE_DEGREE, len(block) < len(support)] += len(block)
+    # the rank-2 supports and rank-3 blocks at h = 40 are among them, on rank 3 beside a band too
+    assert checked[2, True, False] and checked[3, True, False] and checked[3, True, True], checked
+
+
+@pytest.mark.parametrize("untied, tied", [((7, 2), (4, 4)), ((5, -2), (3, 3)),
+                                          ((9, 5, 0), (6, 6, 1)), ((7, 3, -2), (4, 4, -1))],
+                         ids=["rank-2", "rank-2-negative", "rank-3", "rank-3-negative"])
+def test_fill_matches_oracle_at_every_degree_to_past_the_table(untied, tied):
+    # every h in 0..42, in the Riemann-Roch regime, at P = 1, with k_t = h (the table slice is
+    # the one monomial x_1^h) and with d1 = d2
+    for h in range(TABLE_DEGREE + 3):
+        classes = [(untied, f) for f in _regimes(untied, h)] + [(tied, -h * (tied[0] + tied[-1]) // 2)]
+        for d, f in classes:
+            assert monomial_support(Scroll(d), C(h, f)) == oracle_support(d, h, f), (d, h, f)
+
+
+def test_fill_with_every_twist_equal():
+    # on F(a, ..., a) every monomial of degree h weighs h*a + f, so (h, -h*a) has P = 0 and the
+    # whole simplex as support; d1 = dn leaves no band to split, even with P = 0 on its edge
+    rank_three = (0, 1, 5, TABLE_DEGREE, TABLE_DEGREE + 2)
+    for d, degrees in (((2, 2, 2), rank_three), ((-1, -1, -1), rank_three), ((3, 3, 3, 3), (0, 1, 5, 12))):
+        for h in degrees:
+            for f in (-h * d[0], -h * d[0] - 1):
+                assert monomial_support(Scroll(d), C(h, f)) == oracle_support(d, h, f), (d, h, f)
+
+
+def test_fill_above_the_table_degree_stays_linear_in_the_output():
+    # three monomials of degree 10**6: the pairs are built for the call, none of the 10**6 + 1
+    # pairs of the degree is, and the tables keep only degrees up to TABLE_DEGREE
+    tracemalloc.start()
+    try:
+        support = monomial_support(Scroll(1, 0), C(10**6, -10**6 + 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert support == {(999998, 2), (999999, 1), (1000000, 0)}
+    assert peak < 64 * 1024
+    assert set(scroll_module._PAIRS) | set(scroll_module._TRIPLES) <= set(range(TABLE_DEGREE + 1))
 
 
 def test_floor_sums_match_direct_sums():
