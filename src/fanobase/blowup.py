@@ -19,16 +19,13 @@ from .errors import FanobaseError, InvalidDegree, InvalidM, Value, require_integ
 class NormalBundle(Value):
     """Splitting type O(a) + O(b), a >= b, of the normal bundle of a rational curve."""
 
-    __slots__ = ("a", "b")
+    __slots__ = {"a": int, "b": int}
+    _noun = "a splitting type"
 
-    def __init__(self, a: int, b: int):
-        if type(a) is not int or type(b) is not int:
-            require_integers("a splitting type", (a, b))
+    @staticmethod
+    def _validate(a, b):
         if a < b:
             raise FanobaseError(f"splitting type needs a >= b, got ({a}, {b})")
-        set_a, set_b = self._set
-        set_a(self, a)
-        set_b(self, b)
 
     @property
     def m(self) -> int:
@@ -39,17 +36,12 @@ class NormalBundle(Value):
 class BlowupStep(Value):
     """One blowup: ambient (-K)^3, the curve degree -K.C, and the curve genus."""
 
-    __slots__ = ("ambient_degree", "curve_degree", "genus")
+    __slots__ = {"ambient_degree": int, "curve_degree": int, "genus": int}
 
-    def __init__(self, ambient_degree: int, curve_degree: int, genus: int):
-        if type(ambient_degree) is not int or type(curve_degree) is not int or type(genus) is not int:
-            require_integers("a blowup step", (ambient_degree, curve_degree, genus))
+    @staticmethod
+    def _validate(ambient_degree, curve_degree, genus):
         if genus < 0:
             raise FanobaseError(f"curve genus must be non-negative, got {genus}")
-        set_ambient, set_curve, set_genus = self._set
-        set_ambient(self, ambient_degree)
-        set_curve(self, curve_degree)
-        set_genus(self, genus)
 
 
 def blowup_degree(step: BlowupStep) -> int:

@@ -41,25 +41,13 @@ class PruneKind(Enum):
 class CaseVerdict(Value):
     """Outcome of pruning one splitting type (a, b)."""
 
-    __slots__ = ("kind", "reason")
-
-    def __init__(self, kind: PruneKind, reason: str = ""):
-        set_kind, set_reason = self._set
-        set_kind(self, kind)
-        set_reason(self, reason)
+    __slots__ = {"kind": PruneKind, "reason": (str, "")}
 
 
 class CheckResult(Value):
     """One named numerical check: passes when got equals expected."""
 
-    __slots__ = ("name", "expected", "got", "rule")
-
-    def __init__(self, name: str, expected, got, rule: str = ""):
-        set_name, set_expected, set_got, set_rule = self._set
-        set_name(self, name)
-        set_expected(self, expected)
-        set_got(self, got)
-        set_rule(self, rule)
+    __slots__ = {"name": str, "expected": object, "got": object, "rule": (str, "")}
 
     @property
     def passed(self) -> bool:
@@ -69,21 +57,8 @@ class CheckResult(Value):
 class ClassificationCase(Value):
     """One row of the classification with its derived invariants."""
 
-    __slots__ = ("label", "m", "nb", "w", "degree", "bs_dim", "construction", "assumes", "notes")
-
-    def __init__(self, label: str, m: int, nb: NormalBundle | None, w: str, degree: int,
-                 bs_dim: int, construction: str, assumes: tuple = (), notes: str = ""):
-        (set_label, set_m, set_nb, set_w, set_degree, set_bs_dim, set_construction, set_assumes,
-         set_notes) = self._set
-        set_label(self, label)
-        set_m(self, m)
-        set_nb(self, nb)
-        set_w(self, w)
-        set_degree(self, degree)
-        set_bs_dim(self, bs_dim)
-        set_construction(self, construction)
-        set_assumes(self, assumes)
-        set_notes(self, notes)
+    __slots__ = {"label": str, "m": int, "nb": NormalBundle | None, "w": str, "degree": int,
+                 "bs_dim": int, "construction": str, "assumes": (tuple, ()), "notes": (str, "")}
 
 
 # the six outcomes of prune, built once: values are immutable, so sharing them is safe

@@ -55,17 +55,13 @@ class DoubleCoverSpec(Value):
     A branch with an odd coefficient has no half and is refused.
     """
 
-    __slots__ = ("base", "branch")
+    __slots__ = {"base": Scroll, "branch": DivisorClass}
+    _noun = "a double cover"
 
-    def __init__(self, base: Scroll, branch: DivisorClass):
-        if type(base) is not Scroll or type(branch) is not DivisorClass:
-            raise FanobaseError(f"a double cover needs a scroll and a divisor class, "
-                                f"got {base!r} and {branch!r}")
+    @staticmethod
+    def _validate(base, branch):
         if branch.h % 2 or branch.f % 2:
             raise FanobaseError(f"a double cover branches along twice a class, got {branch}")
-        set_base, set_branch = self._set
-        set_base(self, base)
-        set_branch(self, branch)
 
     @property
     def half(self) -> DivisorClass:
@@ -85,16 +81,8 @@ class BranchReport(Value):
     line-plus-cubic split) and ``verdict`` is the Du Val rule ``fiber_mult <= 3``.
     """
 
-    __slots__ = ("m", "spec", "b_class", "b_mult", "fiber_mult")
-
-    def __init__(self, m: int, spec: DoubleCoverSpec, b_class: DivisorClass, b_mult: int,
-                 fiber_mult):
-        set_m, set_spec, set_b_class, set_b_mult, set_fiber_mult = self._set
-        set_m(self, m)
-        set_spec(self, spec)
-        set_b_class(self, b_class)
-        set_b_mult(self, b_mult)
-        set_fiber_mult(self, fiber_mult)
+    __slots__ = {"m": int, "spec": DoubleCoverSpec, "b_class": DivisorClass, "b_mult": int,
+                 "fiber_mult": int | type(INFINITE)}
 
     @property
     def base(self) -> Scroll:

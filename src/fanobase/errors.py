@@ -10,15 +10,22 @@ from operator import attrgetter
 
 
 class Value:
-    """Immutable value whose fields are its ``__slots__``.
+    """Immutable value whose fields are declared once, in ``__slots__``.
 
-    A subclass declares ``__slots__`` and an ``__init__`` that validates
-    its arguments, unpacks ``self._set`` and stores each field with one
-    call: ``_set`` holds the setters of the slot descriptors in
-    ``__slots__`` order, bound once per class, so a store skips the
-    attribute lookup of ``object.__setattr__``.  A subclass gets equality
-    by class and fields, a hash by fields, the repr
-    ``Name(field=value, ...)``, pickling and copying through its
+    A subclass maps each field name in ``__slots__`` to the type it accepts
+    (``int``, a class, a union such as ``NormalBundle | None``, ``object``
+    for any) or to a pair ``(type, default)``; a further rule (a >= b, an
+    even branch) is a static method ``_validate`` of the fields that raises.
+    From that the base compiles the constructor once per class, as
+    ``dataclasses`` does: an inline ``type(x) is int`` test per int field,
+    falling back to ``require_integers`` (an int subclass passes, stored as
+    given), ``type(x) is not T`` per other field, ``_validate``, and one call
+    per field of its slot's setter.  It is ``_store``, and ``__init__``
+    unless the class normalizes its input in its own (``Scroll``), which
+    then calls ``_store``.  A refusal names the class by ``_noun``, and
+    ``__slots__`` then reads as the tuple of field names.
+    A subclass also gets equality by class and fields, a hash by fields,
+    the repr ``Name(field=value, ...)``, pickling and copying through its
     constructor, and refuses assignment and deletion.
     """
 
@@ -26,8 +33,15 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        fields, cls.__slots__ = cls.__slots__, tuple(cls.__slots__)
+        # DivisorClass is "a divisor class", unless the class gives its own _noun
+        cls._noun = vars(cls).get("_noun") or "a" + "".join(f" {c.lower()}" if c.isupper() else c
+                                                            for c in cls.__name__)
         cls._key = attrgetter(*cls.__slots__)
         cls._set = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._store = _constructor(cls, fields)
+        if "__init__" not in vars(cls):
+            cls.__init__ = cls._store
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -50,6 +64,56 @@ class Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _constructor(cls, fields: dict):
+    """The constructor of ``cls``, compiled from its declared ``fields`` (see :class:`Value`)."""
+    namespace = {"noun": cls._noun, "require_integers": require_integers, "refuse": _refuse,
+                 "validate": getattr(cls, "_validate", None)}
+    params, ints, tests, others, needs = [], [], [], [], []
+    for i, (name, declared) in enumerate(fields.items()):
+        if type(declared) is tuple:
+            fields[name], namespace[f"default_{i}"] = declared
+        declared = fields[name]
+        params.append(f"{name}=default_{i}" if f"default_{i}" in namespace else name)
+        namespace[f"set_{i}"] = cls._set[i]
+        if declared is int:
+            ints.append(name)
+        elif declared is not object:
+            kinds = getattr(declared, "__args__", (declared,))  # a union's members
+            namespace[f"type_{i}"] = kinds if len(kinds) > 1 else declared
+            tests.append(f"type({name}) {'not in' if len(kinds) > 1 else 'is not'} type_{i}")
+            others.append(name)
+            needs.append(" or ".join(_NOUNS.get(kind) or getattr(kind, "_noun", f"a {kind.__name__}")
+                                     for kind in kinds))
+    body = []
+    if ints:
+        tested = " or ".join(f"type({name}) is not int" for name in ints)
+        body.append(f"if {tested}: require_integers(noun, ({', '.join(ints)},))")
+    if tests:
+        namespace["needs"] = _listing(needs)
+        body.append(f"if {' or '.join(tests)}: refuse(noun, needs, ({', '.join(others)},))")
+    if namespace["validate"]:
+        body.append(f"validate({', '.join(fields)})")
+    body += [f"set_{i}(self, {name})" for i, name in enumerate(fields)]
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__, init.__annotations__ = f"{cls.__qualname__}.__init__", fields
+    return init
+
+
+# how a refusal names a field type that has no _noun of its own
+_NOUNS = {int: "an integer", str: "a string", tuple: "a tuple", type(None): "None"}
+
+
+def _listing(words) -> str:
+    """``a``, ``a and b``, ``a, b and c``."""
+    *rest, last = words
+    return f"{', '.join(rest)} and {last}" if rest else last
+
+
+def _refuse(noun: str, needs: str, values: tuple):
+    raise FanobaseError(f"{noun} needs {needs}, got {_listing([repr(v) for v in values])}")
 
 
 class FanobaseError(ValueError):

@@ -28,17 +28,12 @@ from .scroll import DivisorClass, Scroll
 class SurfaceClass(Value):
     """The class xi*s + fib*f on Sigma_e, with s the minimal section."""
 
-    __slots__ = ("e", "xi", "fib")
+    __slots__ = {"e": int, "xi": int, "fib": int}
 
-    def __init__(self, e: int, xi: int, fib: int):
-        if type(e) is not int or type(xi) is not int or type(fib) is not int:
-            require_integers("a surface class", (e, xi, fib))
+    @staticmethod
+    def _validate(e, xi, fib):
         if e < 0:
             raise FanobaseError(f"surface index must be non-negative, got {e}")
-        set_e, set_xi, set_fib = self._set
-        set_e(self, e)
-        set_xi(self, xi)
-        set_fib(self, fib)
 
     def _same_surface(self, other):
         if self.e != other.e:

@@ -20,14 +20,7 @@ from .hirzebruch import SurfaceClass
 class PencilClass(Value):
     """gamma*(section) + ell*(elliptic fiber) in the rank-2 lattice."""
 
-    __slots__ = ("gamma", "ell")
-
-    def __init__(self, gamma: int, ell: int):
-        if type(gamma) is not int or type(ell) is not int:
-            require_integers("a pencil class", (gamma, ell))
-        set_gamma, set_ell = self._set
-        set_gamma(self, gamma)
-        set_ell(self, ell)
+    __slots__ = {"gamma": int, "ell": int}
 
     def __add__(self, other):
         if type(other) is not PencilClass:

@@ -21,12 +21,7 @@ class Report(Value):
     """``(case label, CheckResult)`` pairs in table order; ``to_dict`` gives one
     ``{case, name, rule, expected, got, pass}`` record per check."""
 
-    __slots__ = ("version", "checks")
-
-    def __init__(self, version: str, checks: tuple):
-        set_version, set_checks = self._set
-        set_version(self, version)
-        set_checks(self, checks)
+    __slots__ = {"version": str, "checks": tuple}
 
     @property
     def summary(self) -> dict:

@@ -88,6 +88,7 @@ class _Infinite:
     """Multiplicity of the empty system; larger than every integer."""
 
     __slots__ = ()
+    _noun = "INFINITE"
 
     def __eq__(self, other):
         return isinstance(other, _Infinite)
@@ -123,14 +124,7 @@ _PAIRS, _TRIPLES = {}, {}
 class DivisorClass(Value):
     """The class h*O(1) + f*F on a scroll; a pure value, addition componentwise."""
 
-    __slots__ = ("h", "f")
-
-    def __init__(self, h: int, f: int):
-        if type(h) is not int or type(f) is not int:
-            require_integers("a divisor class", (h, f))
-        set_h, set_f = self._set
-        set_h(self, h)
-        set_f(self, f)
+    __slots__ = {"h": int, "f": int}
 
     def __add__(self, other):
         if type(other) is not DivisorClass:
@@ -163,7 +157,7 @@ class Scroll(Value):
     single iterable ``Scroll([5, 1, 0])``.
     """
 
-    __slots__ = ("twists",)
+    __slots__ = {"twists": tuple}
 
     def __init__(self, *twists):
         if len(twists) == 1 and hasattr(twists[0], "__iter__"):
@@ -174,7 +168,7 @@ class Scroll(Value):
                 break
         if len(twists) < 2:
             raise FanobaseError(f"a scroll needs at least two summands, got {twists!r}")
-        self._set[0](self, tuple(sorted(twists, reverse=True)))
+        self._store(tuple(sorted(twists, reverse=True)))
 
     @property
     def rank(self) -> int:

@@ -40,23 +40,22 @@ MODEL_LIMIT = 10**5
 class WeightedCI(Value):
     """Weights (w_0, ..., w_N) and relation degrees (e_1, ..., e_c) of a weighted complete intersection."""
 
-    __slots__ = ("weights", "rel_degrees")
+    __slots__ = {"weights": tuple, "rel_degrees": tuple}
+    _noun = "a weighted complete intersection"
 
     def __init__(self, weights: tuple, rel_degrees: tuple = ()):
         try:
             weights, rels = tuple(weights), tuple(rel_degrees)
         except TypeError:
             raise FanobaseError("weights and relation degrees must be sequences of integers") from None
-        require_integers("a weighted complete intersection", weights + rels)
+        require_integers(self._noun, weights + rels)
         if not weights or any(w < 1 for w in weights):
             raise FanobaseError(f"weights must be positive integers, got {weights!r}")
         if any(e < 2 for e in rels):
             raise FanobaseError(f"relation degrees must be integers >= 2, got {rels!r}")
         if len(rels) >= len(weights):
             raise FanobaseError("need fewer relations than weights (positive dimension)")
-        set_weights, set_rels = self._set
-        set_weights(self, weights)
-        set_rels(self, rels)
+        self._store(weights, rels)
 
     @property
     def dimension(self) -> int:

@@ -1,10 +1,12 @@
 """Mutation table for the section count ``scroll._count``, the cone-case path
 (``classify._checks_cone``, ``classify.prune``,
 ``cover.branch_for_taut_anticanonical``, ``hirzebruch.forced_minimal_decomposition``,
-``hirzebruch.genus``, the two methods of ``cover.DoubleCoverSpec``) and the kernels
-``wps._series``, ``wps.infer_ring``, ``scroll._exponent_range``,
-``cover.analyze_cover`` and the support fill ``scroll._fill``.  A target
-named ``"Class.method"`` is looked up in that class's body.
+``hirzebruch.genus``, the even-branch rule ``_validate`` and ``half`` of
+``cover.DoubleCoverSpec``), the kernels ``wps._series``, ``wps.infer_ring``,
+``scroll._exponent_range``, ``cover.analyze_cover`` and the support fill
+``scroll._fill``, and ``errors._constructor``, which builds every value
+type's constructor.  A target named ``"Class.method"`` is looked up in that
+class's body.
 
 Run as ``python3 tests/mutants.py [NAME ...]`` from anywhere; with names it
 runs only those targets, with none every target, and an unknown name exits 2
@@ -34,7 +36,10 @@ Each run has a time cap, ten times the unmutated run and at least 60 s,
 and an address-space cap; on timeout the run's whole process group is
 killed, so no process is left behind.  A timeout counts as killed, and
 so does a run that leaves no readable record of its outcomes (pytest
-can hit the address-space cap while writing it).
+can hit the address-space cap while writing it) or ends with a pytest
+exit other than 0 or 1 (an internal error); the row names that end, as
+``killed (pytest exit 3, no test outcome differs)``, and does not count
+it as a test.
 
 Prints one table row per mutant and a summary; survivors named in
 ``EQUIVALENT`` are listed as equivalent with their reason.  Exits 1 when a
@@ -71,8 +76,8 @@ TARGETS = {
                                      ("tests/test_hirzebruch.py", "tests/test_cover.py", "tests/test_acceptance.py")),
     "genus": ("src/fanobase/hirzebruch.py",
               ("tests/test_hirzebruch.py", "tests/test_classify.py", "tests/test_acceptance.py")),
-    "DoubleCoverSpec.__init__": ("src/fanobase/cover.py",
-                                 ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
+    "DoubleCoverSpec._validate": ("src/fanobase/cover.py",
+                                  ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
     "DoubleCoverSpec.half": ("src/fanobase/cover.py",
                              ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
     "_series": ("src/fanobase/wps.py", ("tests/test_wps.py", "tests/test_classify.py")),
@@ -82,6 +87,8 @@ TARGETS = {
     "analyze_cover": ("src/fanobase/cover.py",
                       ("tests/test_cover.py", "tests/test_classify.py", "tests/test_acceptance.py")),
     "_fill": ("src/fanobase/scroll.py", ("tests/test_scroll.py", "tests/test_cli.py")),
+    "_constructor": ("src/fanobase/errors.py",
+                     ("tests/test_values.py", "tests/test_value_store.py", "tests/test_type_contract.py")),
 }
 
 # (function, line in the function, mutant label) -> why no test can tell the mutant from the code
@@ -274,13 +281,25 @@ def run_tests(modules: tuple, mutated=None, cap=None, baseline=None) -> tuple:
         try:
             outcomes = json.loads(record.read_text())
         except (FileNotFoundError, ValueError):  # none, or cut short by a MemoryError under the cap
-            return {f"<no readable record, exit {proc.returncode}>"}, seconds
+            return {f"<no readable record, pytest exit {proc.returncode}>"}, seconds
         if outcomes["first_difference"] is not None:
             return (outcomes["first_difference"],), seconds
         failing = set(outcomes["failing"])
         if proc.returncode not in (0, 1):
-            failing.add(f"<exit {proc.returncode}>")
+            failing.add(f"<pytest exit {proc.returncode}>")
         return failing, seconds
+
+
+def _difference(failing: set, base: set) -> str:
+    """How a whole run's failing set differs from the unmutated one's, for its table row.
+
+    A marker ``<...>`` of an abnormal end (a pytest exit other than 0 or
+    1, or no readable record) is named, and not counted as a test.
+    """
+    markers = sorted(name[1:-1] for name in failing ^ base if name.startswith("<"))
+    tests = sum(not name.startswith("<") for name in failing ^ base)
+    counted = f"{tests} tests differ" if tests else "no test outcome differs"
+    return ", ".join(markers + [counted])
 
 
 def main(names: list) -> int:
@@ -305,7 +324,7 @@ def main(names: list) -> int:
             elif type(failing) is tuple:
                 result = f"killed (first at {failing[0]})"
             elif failing != base:
-                result = f"killed ({len(failing ^ base)} tests differ)"
+                result = f"killed ({_difference(failing, base)})"
             elif (name, line, label) in EQUIVALENT:
                 result = "equivalent: " + EQUIVALENT[name, line, label]
             else:

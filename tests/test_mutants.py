@@ -41,7 +41,7 @@ def _edits(old, new) -> list:
 
 def test_each_mutant_is_one_edit_of_its_module():
     trees = _trees()
-    for name in ("DoubleCoverSpec.__init__", "DoubleCoverSpec.half"):
+    for name in ("DoubleCoverSpec._validate", "DoubleCoverSpec.half", "_constructor"):
         original = trees[mutants.TARGETS[name][0]]
         for line, label, text in mutants.mutants(name):
             edits = _edits(original, ast.parse(text))
@@ -106,3 +106,13 @@ def test_outcome_plugin_records_without_a_baseline(tmp_path):
     plugin["pytest_sessionfinish"](session)
     assert not session.shouldstop
     assert json.loads(record.read_text()) == {"failing": ["m.py", "n.py::t"], "first_difference": None}
+
+
+def test_an_abnormal_end_is_named_in_the_row_and_not_counted_as_a_test():
+    # a pytest internal error that reports no test reads as its exit, not as "1 tests differ"
+    assert mutants._difference({"<pytest exit 3>"}, set()) == "pytest exit 3, no test outcome differs"
+    base = {"a.py::t"}
+    assert mutants._difference({"<pytest exit 3>"}, base) == "pytest exit 3, 1 tests differ"
+    assert mutants._difference({"a.py::t", "b.py::u", "c.py::v"}, base) == "2 tests differ"
+    assert (mutants._difference({"<no readable record, pytest exit -9>"}, set())
+            == "no readable record, pytest exit -9, no test outcome differs")

@@ -1,11 +1,14 @@
 """The fast store of the value types and the guard that keeps it.
 
-Every class on ``errors.Value`` stores its fields through ``_set``, one
-slot-descriptor setter per entry of ``__slots__``; the int-field types
-test ``type(x) is int`` inline and fall back to ``require_integers``
-only when that test fails, so an int subclass is still accepted and
-stored as given.  No module under ``src/fanobase`` calls
-``object.__setattr__``, the slow store the setters replaced.
+Every class on ``errors.Value`` declares its fields once, as a dict from
+name to type in ``__slots__``, and the base compiles its constructor from
+that: one slot-descriptor setter from ``_set`` per field, bound in the
+constructor's namespace, so no class stores through ``self._set`` or
+``object.__setattr__``.  An int field is tested with ``type(x) is int``
+inline and falls back to ``require_integers`` only when that test fails,
+so an int subclass is still accepted and stored as given.  No module under
+``src/fanobase`` calls ``object.__setattr__``, the slow store the setters
+replaced.
 """
 
 import ast
@@ -87,3 +90,17 @@ def test_no_module_stores_fields_with_object_setattr():
     found = {path.name: lines for path in sources
              if (lines := _stores_with_object_setattr(path.read_text()))}
     assert found == {}
+
+
+def test_constructors_are_compiled_from_the_declaration():
+    # only the two types that normalize their input write an __init__, and
+    # no module but errors.py reads the setters
+    own = {cls.__name__ for cls in Value.__subclasses__() if cls.__init__ is not cls._store}
+    assert own == {"Scroll", "WeightedCI"}
+    for cls in Value.__subclasses__():
+        assert list(cls._store.__annotations__) == list(cls.__slots__), cls
+    sources = sorted(Path(fanobase.__file__).resolve().parent.glob("*.py"))
+    readers = {path.name for path in sources
+               if any(isinstance(node, ast.Attribute) and node.attr == "_set"
+                      for node in ast.walk(ast.parse(path.read_text())))}
+    assert readers == {"errors.py"}
