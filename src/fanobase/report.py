@@ -23,6 +23,14 @@ class Report(Value):
 
     __slots__ = {"version": str, "checks": tuple}
 
+    @staticmethod
+    def _validate(version, checks):
+        from .classify import CheckResult  # here: only build_report, which has loaded classify, builds one
+        for pair in checks:
+            if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is str
+                    and type(pair[1]) is CheckResult):
+                raise FanobaseError(f"a report needs (case label, CheckResult) pairs, got {pair!r}")
+
     @property
     def summary(self) -> dict:
         passed = sum(check.passed for _, check in self.checks)

@@ -20,16 +20,15 @@ Conventions, fixed once for the whole package:
   ``e . d + f >= 0``, is filled for :func:`monomial_support` depth
   first from a stack, along the band split (below).  The rests of a
   band are classes, each with its own exponent range, down to rank 3,
-  where one comprehension takes the band's last two coordinates.  The
-  rest of each x_1-exponent from k_t on holds every monomial of its
-  degree: it is a block, copied from process-wide tables of the full
-  simplices of exponent pairs and triples, kept up to degree
-  TABLE_DEGREE and built for the call above it.  The class asked at rank
-  2 or 3 and degree <= TABLE_DEGREE puts the tables' own tuples into the
-  output, no copies: a slice of the pairs, or of the triples from k_t
-  on.  Above that degree a slice would build the whole table (h + 1
-  pairs for a support of three), so none is taken: no exponent vector
-  outside the support is visited, and the cost stays linear in the output.
+  where one comprehension takes the band's last two coordinates.  What
+  is left of a class from k_t on holds every monomial of its degree with
+  e_1 >= k_t: a block, which up to rank 3 is a slice of a process-wide
+  table of the full simplex of exponent pairs or triples of its degree,
+  kept up to degree TABLE_DEGREE.  With no prefix the tables' own tuples
+  go into the output, no copies.  Above that degree a table would cost
+  more than the output (h + 1 pairs for a support of three), so only the
+  slice is built: no exponent vector outside the support is visited, and
+  the cost stays linear in the output.
 * The exponent range.  With e_i = k fixed, the heaviest monomial puts
   the other h - k on D, the largest twist other than d_i, so k occurs
   in the support exactly when g(k) = k*d_i + (h - k)*D + f >= 0.  g is
@@ -114,11 +113,11 @@ INFINITE = _Infinite()
 WALK_BUDGET = 10**5
 
 # Highest degree whose full simplex of exponent pairs and triples stays in
-# the process-wide tables _PAIRS and _TRIPLES once built: 861 pairs and
-# 12 341 triples up to degree 40, 0.95 MB, and every block the fill of a
-# rank-4 class of degree <= 40 copies (the scroll-ladder draws h 20..40).
+# the process-wide table _SIMPLEX, keyed (n, h): 861 pairs and 12 341
+# triples up to degree 40, 0.95 MB, and every block the fill of a rank-4
+# class of degree <= 40 copies (the scroll-ladder draws h 20..40).
 TABLE_DEGREE = 40
-_PAIRS, _TRIPLES = {}, {}
+_SIMPLEX = {}
 
 
 class DivisorClass(Value):
@@ -197,24 +196,24 @@ def _exponent_range(d: tuple, h: int, f: int, i: int):
     return (lo, hi) if lo <= hi else None
 
 
-def _pairs(r: int) -> tuple:
-    """Every exponent pair of degree r, (0, r) first; kept in a process-wide table for r <= TABLE_DEGREE."""
-    block = _PAIRS.get(r)
-    if block is None:
-        block = tuple(zip(range(r + 1), range(r, -1, -1)))
-        if r <= TABLE_DEGREE:
-            _PAIRS[r] = block
-    return block
+def _simplex(n: int, h: int, k: int) -> tuple:
+    """Every exponent vector of length n in {2, 3} and degree h with e_1 >= k, in table order.
 
-
-def _triples(r: int) -> tuple:
-    """Every exponent triple of degree r, (0, 0, r) first; kept like :func:`_pairs`."""
-    block = _TRIPLES.get(r)
-    if block is None:
-        block = tuple([(a, b, r - a - b) for a in range(r + 1) for b in range(r - a + 1)])
-        if r <= TABLE_DEGREE:
-            _TRIPLES[r] = block
-    return block
+    Table order is lexicographic.  Up to TABLE_DEGREE this is a slice of
+    the process-wide table, so its own tuples: from offset k for pairs, for
+    triples after the h + 1 - a triples of each a < k.  Above it only the
+    slice is built, so the cost stays linear in the output.
+    """
+    table = _SIMPLEX.get((n, h))
+    if table is None:
+        big = h > TABLE_DEGREE
+        start = k if big else 0
+        table = (tuple(zip(range(start, h + 1), range(h - start, -1, -1), strict=True)) if n == 2
+                 else tuple([(a, b, h - a - b) for a in range(start, h + 1) for b in range(h - a + 1)]))
+        if big:
+            return table
+        _SIMPLEX[n, h] = table
+    return table[k if n == 2 else k * (h + 1) - k * (k - 1) // 2:]
 
 
 def _fill(d: tuple, h: int, f: int) -> set:
@@ -222,62 +221,52 @@ def _fill(d: tuple, h: int, f: int) -> set:
 
     Depth first from a stack, along the band split of :func:`_count`
     (module docstring).  A class (prefix, d, h, f) outside the
-    Riemann-Roch regime pushes the rests of its band lo <= k < k_t as
-    classes and each k in k_t..hi as the block (prefix + (k,), d[1:],
-    h - k, None); a class in that regime (P <= 0) is itself a block.  A
-    block holds every monomial of its degree: peeled one coordinate at a
-    time down to rank 3, it is copied from :func:`_triples`.  A rank-3
-    class takes its band's rests in one comprehension and the rest of each
-    k >= k_t from :func:`_pairs`, and a rank-2 class (always the class
-    asked: rank >= 4 peels down to rank 3 only) is the range lo..h.  With
-    an empty prefix and h <= TABLE_DEGREE these are slices of the tables
-    (module docstring), the triples with e_1 >= k_t one contiguous run;
-    above it the rank-2 pairs are zipped from two ranges.  Every item
-    pushed is non-empty, and one of degree >= 1 pushes a child of degree
-    0, a monomial: the pops are at most twice the output.
+    Riemann-Roch regime takes its band lo <= k < k_t, at rank >= 4 by
+    pushing the rests as classes and at rank 3 in one comprehension, and
+    goes on from lo = k_t; a rank-2 class has an empty band, lo = k_t
+    already.  What is left is a block (prefix, d, h, lo): every monomial
+    of degree h with e_1 >= lo, as hi = h on every non-empty support.  Up
+    to rank 3 it is the :func:`_simplex` slice, the tables' own tuples
+    when the prefix is empty; from rank 4 it is peeled one coordinate at
+    a time from lo, each rest a block with lo = 0.  Every item pushed is
+    non-empty, and one of degree >= 1 pushes a child of degree 0, a
+    monomial: the pops are at most twice the output.
     """
     out, stack = set(), [((), d, h, f)]
     while stack:
         prefix, d, h, f = stack.pop()
+        lo = 0
         if f is not None:
             span = _exponent_range(d, h, f, 1)
             if span is None:
                 continue
-            lo, hi = span
-            if len(d) == 2:  # top level, as rank >= 4 peels down to rank 3 only; hi = h as d1 >= d2
-                out.update(_pairs(h)[lo:] if h <= TABLE_DEGREE
-                           else zip(range(lo, h + 1), range(h - lo, -1, -1), strict=True))
-                continue
-            d1, dn = d[0], d[-1]
+            lo, d1, dn = span[0], d[0], d[-1]
             p = -f - h * dn
-            if p > 0:  # so d1 > dn, and k_t <= hi = h since x_1^h is in the support
+            if p > 0:  # so d1 > dn, and x_1^h is in the support
                 k_t = max(lo, -(-p // (d1 - dn)))
                 if len(d) > 3:
                     rest = d[1:]
                     stack.extend((prefix + (k,), rest, h - k, f + k * d1) for k in range(lo, k_t))
-                    stack.extend((prefix + (k,), rest, h - k, None) for k in range(k_t, hi + 1))
-                    continue
-                # in the band k = e_2 runs from its least value j0 >= 1 in the support of
-                # (r, f + j*d1) on F(d2, d3) up to r (module docstring); d2 > d3 there
-                d2 = d[1]
-                out.update([
-                    prefix + (j, k, r - k)
-                    for j in range(lo, k_t)
-                    for r in (h - j,)
-                    for k in range(-((f + j * d1 + r * dn) // (d2 - dn)), r + 1)
-                ])
-                if prefix or h > TABLE_DEGREE:
-                    out.update([pk + t for k in range(k_t, hi + 1) for pk in (prefix + (k,),) for t in _pairs(h - k)])
-                else:  # hi = h: the triples with a = k_t..h, after the h + 1 - a of each a < k_t
-                    out.update(_triples(h)[k_t * (h + 1) - k_t * (k_t - 1) // 2:])
-                continue
-        if len(d) == 3:
-            out.update([prefix + t for t in _triples(h)] if prefix else _triples(h))
+                else:
+                    # in the band k = e_2 runs from its least value j0 >= 1 in the support of
+                    # (r, f + j*d1) on F(d2, d3) up to r (module docstring); d2 > d3 there, and
+                    # at rank 2 the band is empty
+                    d2 = d[1]
+                    out.update([
+                        prefix + (j, k, r - k)
+                        for j in range(lo, k_t)
+                        for r in (h - j,)
+                        for k in range(-((f + j * d1 + r * dn) // (d2 - dn)), r + 1)
+                    ])
+                lo = k_t
+        if len(d) <= 3:
+            block = _simplex(len(d), h, lo)
+            out.update([prefix + t for t in block] if prefix else block)
         elif h == 0:
             out.add(prefix + (0,) * len(d))
         else:
             rest = d[1:]
-            stack.extend((prefix + (k,), rest, h - k, None) for k in range(h + 1))
+            stack.extend((prefix + (k,), rest, h - k, None) for k in range(lo, h + 1))
     return out
 
 
@@ -419,7 +408,7 @@ def monomial_support(s: Scroll, c: DivisorClass) -> set:
     The support of the generic member of ``|c|``, filled depth first
     along the band split of :func:`h0`: the rests of each band one
     exponent range at a time, and each Riemann-Roch rest as a whole block
-    copied from the tables of exponent pairs and triples.  No exponent
+    copied from the table of exponent pairs and triples.  No exponent
     vector outside the support is visited, so the cost stays linear in
     the size of the output.
     """

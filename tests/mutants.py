@@ -3,8 +3,9 @@
 ``cover.branch_for_taut_anticanonical``, ``hirzebruch.forced_minimal_decomposition``,
 ``hirzebruch.genus``, the even-branch rule ``_validate`` and ``half`` of
 ``cover.DoubleCoverSpec``), the kernels ``wps._series``, ``wps.infer_ring``,
-``scroll._exponent_range``, ``cover.analyze_cover`` and the support fill
-``scroll._fill``, and ``errors._constructor``, which builds every value
+``scroll._exponent_range``, ``cover.analyze_cover``, the support fill
+``scroll._fill`` and its simplex blocks ``scroll._simplex``, and
+``errors._constructor``, which builds every value
 type's constructor.  A target named ``"Class.method"`` is looked up in that
 class's body.
 
@@ -87,6 +88,7 @@ TARGETS = {
     "analyze_cover": ("src/fanobase/cover.py",
                       ("tests/test_cover.py", "tests/test_classify.py", "tests/test_acceptance.py")),
     "_fill": ("src/fanobase/scroll.py", ("tests/test_scroll.py", "tests/test_cli.py")),
+    "_simplex": ("src/fanobase/scroll.py", ("tests/test_scroll.py", "tests/test_cli.py")),
     "_constructor": ("src/fanobase/errors.py",
                      ("tests/test_values.py", "tests/test_value_store.py", "tests/test_type_contract.py")),
 }
@@ -101,6 +103,8 @@ EQUIVALENT = {
     ("_count", 21, "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 0  ->  "
                    "_walk_bound(d, h, f, lo, k_t) if p > 0 and (not i) else 1"):
         "the bound is only compared with WALK_BUDGET = 10**5, which 1 does not exceed either",
+    ("_simplex", 13, "h + 1  ->  h + 2"):
+        "the extra row a = h + 1 of the triples takes b from range(h - a + 1) = range(0), so it is empty",
     ("genus", 14, "pairing % 2  ->  pairing % 1"):
         "the pairing -e*xi*(xi - 1) + 2*(xi*fib - xi - fib) is even for every integral class, "
         "so the assert holds either way",

@@ -85,14 +85,3 @@ def test_product_degree():
     assert product_degree(2) == 12
     with pytest.raises(InvalidDegree):
         product_degree(0)
-
-
-def test_wrong_types_are_refused():
-    for bad in (None, (12, 1, 0), "O(1) + O(-2)", object()):
-        for call in (blowup_degree, exceptional_surface_index):
-            with pytest.raises(FanobaseError):
-                call(bad)
-    with pytest.raises(FanobaseError):
-        blowup_degree(NormalBundle(1, -2))
-    with pytest.raises(FanobaseError):
-        exceptional_surface_index(BlowupStep(12, 1, 0))

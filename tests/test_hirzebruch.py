@@ -123,24 +123,6 @@ def test_forced_decomposition_matches_scroll_fixed_component():
     assert nonzero >= 100
 
 
-def test_wrong_types_are_refused():
-    c = SurfaceClass(4, 4, 12)
-    for bad in (None, (4, 4, 12), DivisorClass(4, 12)):
-        for call in (
-            lambda: genus(bad),
-            lambda: intersect2(bad, c),
-            lambda: intersect2(c, bad),
-            lambda: to_scroll(bad),
-            lambda: forced_minimal_decomposition(bad),
-            lambda: from_scroll(bad, DivisorClass(4, -8)),
-        ):
-            with pytest.raises(FanobaseError):
-                call()
-    for bad in (None, (4, -8), c):
-        with pytest.raises(FanobaseError):
-            from_scroll(Scroll(5, 1), bad)
-
-
 def test_from_scroll_examples():
     assert from_scroll(Scroll(5, 1), DivisorClass(4, -8)) == SurfaceClass(4, 4, 12)
     assert from_scroll(Scroll(6, 0), DivisorClass(0, 1)) == SurfaceClass(6, 0, 1)

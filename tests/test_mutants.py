@@ -49,6 +49,20 @@ def test_each_mutant_is_one_edit_of_its_module():
             assert isinstance(edits[0], (ast.Constant, ast.cmpop, ast.operator)), (name, line, label)
 
 
+def test_every_equivalent_entry_names_a_mutant():
+    # a line or label gone stale, as when a docstring above the site shrinks, leaves
+    # the entry unused and its mutant listed as a survivor; only the target's top-level
+    # node is copied per edit, so the check stays cheap
+    trees = _trees()
+    for name in {name for name, _, _ in mutants.EQUIVALENT}:
+        top = name.split(".")[0]
+        node = next(n for n in trees[mutants.TARGETS[name][0]].body if getattr(n, "name", None) == top)
+        sites = mutants._sites(mutants._function(ast.Module([node], []), name))
+        labels = {mutants._edit(ast.Module([copy.deepcopy(node)], []), name, i) for i in range(len(sites))}
+        for entry in mutants.EQUIVALENT:
+            assert entry[0] != name or entry[1:] in labels, entry
+
+
 def test_negative_constant_edits_parse_back_to_their_edited_tree():
     # ast.unparse writes Constant(-1) bare, so as the base of ** or of an
     # attribute its text would be a different mutant; only those sites are

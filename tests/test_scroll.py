@@ -407,7 +407,7 @@ def test_support_matches_oracle_across_the_table_degree(untied, tied):
             support = monomial_support(Scroll(d), C(h, f))
             assert size(len(support)) and support == oracle_support(d, h, f), (d, h, f)
             assert monomial_support(Scroll(d), C(h, f)) == support, (d, h, f)
-            assert set(scroll_module._PAIRS) | set(scroll_module._TRIPLES) <= set(range(TABLE_DEGREE + 1))
+            assert {h for _, h in scroll_module._SIMPLEX} <= set(range(TABLE_DEGREE + 1))
 
 
 def _regimes(d: tuple, h: int) -> tuple:
@@ -422,7 +422,7 @@ def test_riemann_roch_blocks_are_the_tables_own_tuples():
     checked = Counter()
     for d in ((9, 5, 0), (7, 3, -2), (7, 2), (5, -2)):
         for h in range(TABLE_DEGREE + 1):
-            table = {id(t) for t in (scroll_module._pairs(h) if len(d) == 2 else scroll_module._triples(h))}
+            table = {id(t) for t in scroll_module._simplex(len(d), h, 0)}
             for f in _regimes(d, h):
                 support = monomial_support(Scroll(d), C(h, f))
                 block = [e for e in support if e[0] * d[0] + (h - e[0]) * d[-1] + f >= 0]
@@ -465,7 +465,7 @@ def test_fill_above_the_table_degree_stays_linear_in_the_output():
         tracemalloc.stop()
     assert support == {(999998, 2), (999999, 1), (1000000, 0)}
     assert peak < 64 * 1024
-    assert set(scroll_module._PAIRS) | set(scroll_module._TRIPLES) <= set(range(TABLE_DEGREE + 1))
+    assert {h for _, h in scroll_module._SIMPLEX} <= set(range(TABLE_DEGREE + 1))
 
 
 def test_floor_sums_match_direct_sums():
@@ -735,16 +735,24 @@ def test_chain_walks_read_one_range_per_class(monkeypatch):
     calls.clear()
     assert len(monomial_support(_chain(600), C(2, -3))) == 599
     assert 0 < len(calls) <= 2 * 599
+    # a rank-3 class takes its whole band lo <= e_1 < k_t in one comprehension, so its
+    # rests are no classes of their own and the fill reads one range
+    for d, h, f in (((9, 5, 0), 10, -20), ((7, 3, -2), 12, -30), ((9, 5, 0), TABLE_DEGREE + 5, -100)):
+        lo = exponent_range(d, h, f, 1)[0]
+        assert lo < -((f + h * d[-1]) // (d[0] - d[-1])), (d, h, f)  # lo < k_t: the band is not empty
+        calls.clear()
+        assert monomial_support(Scroll(d), C(h, f)) == oracle_support(d, h, f), (d, h, f)
+        assert calls == [3], (d, h, f)
 
 
 def test_support_blocks_of_degree_zero_are_one_monomial(monkeypatch):
     # (1, 0) on F(1, 0, ..., 0) is one block; peeled, each rest of degree 0 is its one
     # monomial, and only the last block of rank 4 reaches rank 3, as two triple blocks
     calls = []
-    triples = scroll_module._triples
-    monkeypatch.setattr(scroll_module, "_triples", lambda r: calls.append(r) or triples(r))
+    simplex = scroll_module._simplex
+    monkeypatch.setattr(scroll_module, "_simplex", lambda n, h, k: calls.append((n, h, k)) or simplex(n, h, k))
     assert len(monomial_support(Scroll((1,) + (0,) * 599), C(1, 0))) == 600
-    assert sorted(calls) == [0, 1]
+    assert sorted(calls) == [(3, 0, 0), (3, 1, 0)]
 
 
 def test_floor_sum_levels_grow_linearly_in_the_digits(monkeypatch):
@@ -834,39 +842,12 @@ def test_support_examples():
 
 
 def test_wrong_types_are_refused():
+    # a class inside intersect's list, which no probe of a whole parameter reaches
     s, c = Scroll(5, 1, 0), C(2, -4)
-    for count in (h0, support_size, monomial_support):
-        for bad in (None, (5, 1, 0), c, SurfaceClass(4, 2, 4)):
+    for bad in (None, (2, -4), s, SurfaceClass(4, 2, 4), PencilClass(2, -4)):
+        for classes in ([bad, c, c], [c, c, bad]):
             with pytest.raises(FanobaseError):
-                count(bad, c)
-        for bad in (None, (2, -4), s, SurfaceClass(4, 2, 4), PencilClass(2, -4)):
-            with pytest.raises(FanobaseError):
-                count(s, bad)
-    rigid = C(1, -5)
-    scroll_slots = [
-        lambda bad: intersect(bad, [c, c, c]),
-        lambda bad: canonical_class(bad),
-        lambda bad: fixed_component_multiplicity(bad, rigid, c),
-        lambda bad: fiber_multiplicity_at(bad, c, 1),
-        lambda bad: restrict_to_subscroll(bad, (1, 2), c),
-        lambda bad: minimal_degree_data(bad),
-    ]
-    class_slots = [
-        lambda bad: intersect(s, [bad, c, c]),
-        lambda bad: intersect(s, [c, c, bad]),
-        lambda bad: fixed_component_multiplicity(s, bad, c),
-        lambda bad: fixed_component_multiplicity(s, rigid, bad),
-        lambda bad: fiber_multiplicity_at(s, bad, 1),
-        lambda bad: restrict_to_subscroll(s, (1, 2), bad),
-    ]
-    for call in scroll_slots:
-        for bad in (None, (5, 1, 0), c, SurfaceClass(4, 2, 4)):
-            with pytest.raises(FanobaseError):
-                call(bad)
-    for call in class_slots:
-        for bad in (None, (2, -4), s, SurfaceClass(4, 2, 4), PencilClass(2, -4)):
-            with pytest.raises(FanobaseError):
-                call(bad)
+                intersect(s, classes)
 
 
 def test_h0_bounds_support():

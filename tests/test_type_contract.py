@@ -1,15 +1,18 @@
 """The type contract of the public API, as one property.
 
 Every public function and value type has one valid call in ``CALLS``.
-Each of its parameters in turn gets ``None``, a tuple, a string and an
-``object()``, the other arguments as in the valid call, and every such
-call must raise ``FanobaseError``: a wrong type never reaches a stray
-``TypeError`` or ``AttributeError``, and is never stored.  A probe that
-has the parameter's own declared type (its annotation, or its entry in
+Each of its parameters in turn gets ``None``, a bool, a float, a tuple,
+a string, an ``object()`` and one valid instance of each value type,
+the other arguments as in the valid call, and every such call must raise
+``FanobaseError``: a wrong type never reaches a stray ``TypeError`` or
+``AttributeError``, and is never stored.  A probe that has the
+parameter's own declared type (its annotation, or its entry in
 ``DECLARED`` where the signature has none) is skipped, as a tuple is for
 ``ClassificationCase.assumes`` and every probe is for a field declared
-``object``.  A public name that is no error, enum or constant and has no
-row fails the test, so new API is covered.
+``object``; a bool is never skipped as an int.  A public name that is no
+error, enum or constant and has no row fails the test, so new API is
+covered.  ``CALLS`` is also the table of valid constructions that
+``test_values.py`` reads.
 """
 
 from enum import Enum
@@ -34,8 +37,6 @@ from fanobase import (
     cone_case,
 )
 from fanobase.errors import FanobaseError
-
-PROBES = (None, (1, 2), "abc", object())
 
 _F510 = Scroll(5, 1, 0)
 _SPEC = branch_for_taut_anticanonical(Scroll(5, 1, 0))
@@ -100,6 +101,10 @@ CALLS = {
     "verify_case": (cone_case(5),),
 }
 
+# the plain wrong types, then one valid instance of each value type
+PROBES = (None, True, 1.5, (1, 2), "abc", object()) + tuple(
+    getattr(fanobase, name)(*args) for name, args in CALLS.items() if isinstance(getattr(fanobase, name), type))
+
 # the declared type of a parameter whose signature has no annotation, where a probe has it
 DECLARED = {
     ("infer_ring", "seq"): tuple,
@@ -122,6 +127,13 @@ def _declared(name: str, params: list, position: int):
     return DECLARED.get((name, param.name))
 
 
+def _has_type(probe, declared) -> bool:
+    """Whether ``probe`` has the declared type; a bool never counts as an int."""
+    if type(probe) is bool and int in getattr(declared, "__args__", (declared,)):
+        return False
+    return isinstance(probe, declared)
+
+
 def _accepted(name: str, target, args: tuple) -> list:
     """(argument position, probe) per probed call of ``target`` that returned instead of raising."""
     target(*args)  # the valid call is valid
@@ -130,7 +142,7 @@ def _accepted(name: str, target, args: tuple) -> list:
     for position in range(len(args)):
         declared = _declared(name, params, position)
         for probe in PROBES:
-            if declared is not None and isinstance(probe, declared):
+            if declared is not None and _has_type(probe, declared):
                 continue
             call = args[:position] + (probe,) + args[position + 1:]
             try:
@@ -166,11 +178,25 @@ def test_the_probes_find_what_is_not_refused():
 
     assert _accepted("declared_str", declared_str, ("a",)) == []
 
+    # one that takes any int instance lets a bool through, and the bool probe finds it
+    def lax_int(x: int):
+        if not isinstance(x, int):
+            raise FanobaseError(f"not an integer: {x!r}")
+
+    assert _accepted("lax_int", lax_int, (1,)) == [(0, True)]
+
 
 def test_report_checks_are_a_tuple():
     # a string once passed, and to_json then failed to unpack each character as a pair
     with pytest.raises(FanobaseError):
         Report("0.1.0", "abc")
+
+
+@pytest.mark.parametrize("checks", [("abc",), (("i", 5),)], ids=["not-a-pair", "not-a-check"])
+def test_report_checks_are_label_and_check_pairs(checks):
+    # each once passed, and to_json then failed to unpack the string or to read the int's name
+    with pytest.raises(FanobaseError):
+        Report("0.1.0", checks).to_json()
 
 
 def test_case_normal_bundle_is_a_normal_bundle():

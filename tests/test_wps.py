@@ -102,13 +102,6 @@ def _outcome(infer, seq):
         return type(exc), str(exc)
 
 
-def test_wrong_types_are_refused():
-    for bad in (None, (1, 1, 1, 1, 2, 3), "P(1,1,1,1,2,3)", object()):
-        for call in (lambda: hilbert_coeffs(bad), lambda: hilbert_coeffs(bad, 3), lambda: anticanonical_degree(bad)):
-            with pytest.raises(FanobaseError):
-                call()
-
-
 def test_weighted_ci_validation():
     with pytest.raises(FanobaseError):
         WeightedCI((), ())
