@@ -60,6 +60,12 @@ class ClassificationCase(Value):
     __slots__ = {"label": str, "m": int, "nb": NormalBundle | None, "w": str, "degree": int,
                  "bs_dim": int, "construction": str, "assumes": (tuple, ()), "notes": (str, "")}
 
+    @staticmethod
+    def _validate(label, m, nb, w, degree, bs_dim, construction, assumes, notes):
+        for assumption in assumes:
+            if type(assumption) is not str:
+                raise FanobaseError(f"a classification case needs strings as assumptions, got {assumption!r}")
+
 
 # the six outcomes of prune, built once: values are immutable, so sharing them is safe
 _CONE = CaseVerdict(PruneKind.CONE)

@@ -1,18 +1,21 @@
 """The type contract of the public API, as one property.
 
-Every public function and value type has one valid call in ``CALLS``.
-Each of its parameters in turn gets ``None``, a bool, a float, a tuple,
-a string, an ``object()`` and one valid instance of each value type,
-the other arguments as in the valid call, and every such call must raise
-``FanobaseError``: a wrong type never reaches a stray ``TypeError`` or
-``AttributeError``, and is never stored.  A probe that has the
-parameter's own declared type (its annotation, or its entry in
-``DECLARED`` where the signature has none) is skipped, as a tuple is for
-``ClassificationCase.assumes`` and every probe is for a field declared
-``object``; a bool is never skipped as an int.  A public name that is no
-error, enum or constant and has no row fails the test, so new API is
-covered.  ``CALLS`` is also the table of valid constructions that
-``test_values.py`` reads.
+Every public function and value type has one valid call in ``CALLS``,
+and ``Scroll`` a second one in its one-iterable form.  Each parameter
+in turn gets ``None``, a bool, a float, a tuple, a string, a list, an
+``object()`` and one valid instance of each value type, the other
+arguments as in the valid call; each entry of every list or tuple
+argument in turn gets the same probes, the other entries as given.
+Every such call must raise ``FanobaseError``: a wrong type never reaches
+a stray ``TypeError`` or ``AttributeError``, and is never stored.  A
+probe of the declared type is skipped: a parameter's is its entry in
+``DECLARED`` (the parameters that take any list or tuple) or else its
+annotation, so a tuple is skipped for ``ClassificationCase.assumes`` and
+every probe for a field declared ``object``; an entry's is the type of
+the entry it replaces.  A bool is never skipped as an int.  A public
+name that is no error, enum or constant and has no row fails the test,
+so new API is covered.  ``CALLS`` is also the table of valid
+constructions that ``test_values.py`` reads.
 """
 
 from enum import Enum
@@ -24,7 +27,6 @@ import fanobase
 from fanobase import (
     BlowupStep,
     CheckResult,
-    ClassificationCase,
     DivisorClass,
     NormalBundle,
     PencilClass,
@@ -101,15 +103,16 @@ CALLS = {
     "verify_case": (cone_case(5),),
 }
 
+# a second valid call of a function that also takes another form: row name -> (function, arguments)
+FORMS = {"Scroll-iterable": ("Scroll", ([5, 1, 0],))}
+
 # the plain wrong types, then one valid instance of each value type
-PROBES = (None, True, 1.5, (1, 2), "abc", object()) + tuple(
+PROBES = (None, True, 1.5, (1, 2), "abc", [1, 2], object()) + tuple(
     getattr(fanobase, name)(*args) for name, args in CALLS.items() if isinstance(getattr(fanobase, name), type))
 
-# the declared type of a parameter whose signature has no annotation, where a probe has it
-DECLARED = {
-    ("infer_ring", "seq"): tuple,
-    ("restrict_to_subscroll", "keep"): tuple,
-}
+# the parameters that take any list or tuple, by row name
+DECLARED = dict.fromkeys([("infer_ring", "seq"), ("restrict_to_subscroll", "keep"), ("WeightedCI", "weights"),
+                          ("WeightedCI", "rel_degrees"), ("Scroll-iterable", "twists")], tuple | list)
 
 
 def _exempt(value) -> bool:
@@ -122,9 +125,9 @@ def _exempt(value) -> bool:
 def _declared(name: str, params: list, position: int):
     """The type the parameter at ``position`` accepts, None where nothing declares it."""
     param = params[min(position, len(params) - 1)]  # a *twists takes every position from its own on
-    if param.annotation is not Parameter.empty:
-        return param.annotation
-    return DECLARED.get((name, param.name))
+    if (name, param.name) in DECLARED or param.annotation is Parameter.empty:
+        return DECLARED.get((name, param.name))
+    return param.annotation
 
 
 def _has_type(probe, declared) -> bool:
@@ -134,22 +137,37 @@ def _has_type(probe, declared) -> bool:
     return isinstance(probe, declared)
 
 
-def _accepted(name: str, target, args: tuple) -> list:
-    """(argument position, probe) per probed call of ``target`` that returned instead of raising."""
-    target(*args)  # the valid call is valid
+def _replaced(items, index: int, value):
+    """The list or tuple ``items`` with its entry at ``index`` replaced by ``value``."""
+    return type(items)(value if i == index else item for i, item in enumerate(items))
+
+
+def _probed(name: str, target, args: tuple):
+    """(argument position, entry index or None, probe, arguments) per probed call of ``target``."""
     params = list(signature(target).parameters.values())
-    accepted = []
-    for position in range(len(args)):
+    for position, arg in enumerate(args):
         declared = _declared(name, params, position)
         for probe in PROBES:
-            if declared is not None and _has_type(probe, declared):
-                continue
-            call = args[:position] + (probe,) + args[position + 1:]
-            try:
-                target(*call)
-            except FanobaseError:
-                continue
-            accepted.append((position, probe))
+            if declared is None or not _has_type(probe, declared):
+                yield position, None, probe, _replaced(args, position, probe)
+        if type(arg) in (list, tuple):
+            for index, entry in enumerate(arg):
+                for probe in PROBES:
+                    if not _has_type(probe, type(entry)):
+                        yield position, index, probe, _replaced(args, position, _replaced(arg, index, probe))
+
+
+def _accepted(name: str, target, args: tuple) -> list:
+    """(argument position, entry index or None, probe) per probed call of ``target`` that returned
+    instead of raising."""
+    target(*args)  # the valid call is valid
+    accepted = []
+    for position, index, probe, call in _probed(name, target, args):
+        try:
+            target(*call)
+        except FanobaseError:
+            continue
+        accepted.append((position, index, probe))
     return accepted
 
 
@@ -158,9 +176,10 @@ def test_every_public_function_and_value_type_has_a_row():
     assert probed == set(CALLS)
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS) + sorted(FORMS))
 def test_every_wrong_type_is_refused(name):
-    assert _accepted(name, getattr(fanobase, name), CALLS[name]) == []
+    function, args = FORMS.get(name, (name, CALLS.get(name)))
+    assert _accepted(name, getattr(fanobase, function), args) == []
 
 
 def test_the_probes_find_what_is_not_refused():
@@ -170,7 +189,7 @@ def test_the_probes_find_what_is_not_refused():
         def __init__(self, x: int, y):
             self.x = x
 
-    assert _accepted("Unchecked", Unchecked, (1, 2)) == [(p, probe) for p in (0, 1) for probe in PROBES]
+    assert _accepted("Unchecked", Unchecked, (1, 2)) == [(p, None, probe) for p in (0, 1) for probe in PROBES]
 
     def declared_str(x: str):
         if type(x) is not str:
@@ -178,28 +197,29 @@ def test_the_probes_find_what_is_not_refused():
 
     assert _accepted("declared_str", declared_str, ("a",)) == []
 
-    # one that takes any int instance lets a bool through, and the bool probe finds it
-    def lax_int(x: int):
-        if not isinstance(x, int):
-            raise FanobaseError(f"not an integer: {x!r}")
+    # one that checks its list but stores the entries unchecked passes every entry probe,
+    # bar the probe of the replaced entry's own type
+    class UncheckedEntries:
+        def __init__(self, xs: list):
+            if type(xs) is not list:
+                raise FanobaseError(f"not a list: {xs!r}")
+            self.xs = xs
 
-    assert _accepted("lax_int", lax_int, (1,)) == [(0, True)]
+    assert _accepted("UncheckedEntries", UncheckedEntries, ([1, "a"],)) == (
+        [(0, 0, probe) for probe in PROBES] + [(0, 1, probe) for probe in PROBES if type(probe) is not str])
+
+    # one that takes any int instance, as a parameter or as an entry, lets a bool
+    # through, and the bool probe finds it at both
+    def lax_int(x: int, xs: tuple):
+        if not isinstance(x, int) or type(xs) is not tuple or not all(isinstance(e, int) for e in xs):
+            raise FanobaseError(f"not integers: {x!r}, {xs!r}")
+
+    assert _accepted("lax_int", lax_int, (1, (2,))) == [(0, None, True), (1, 0, True)]
 
 
-def test_report_checks_are_a_tuple():
-    # a string once passed, and to_json then failed to unpack each character as a pair
-    with pytest.raises(FanobaseError):
-        Report("0.1.0", "abc")
-
-
-@pytest.mark.parametrize("checks", [("abc",), (("i", 5),)], ids=["not-a-pair", "not-a-check"])
+@pytest.mark.parametrize("checks", [(("i", 5),)], ids=["not-a-check"])
 def test_report_checks_are_label_and_check_pairs(checks):
-    # each once passed, and to_json then failed to unpack the string or to read the int's name
+    # a pair's own entries lie below the entry probes; this once passed, and
+    # to_json then failed to read the int's name
     with pytest.raises(FanobaseError):
         Report("0.1.0", checks).to_json()
-
-
-def test_case_normal_bundle_is_a_normal_bundle():
-    # a pair once passed, and case_checks then failed to read nb.a from the tuple
-    with pytest.raises(FanobaseError):
-        ClassificationCase("x", 5, (3, -2), "w", 8, 1, "c")
