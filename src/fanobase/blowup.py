@@ -13,7 +13,7 @@ degree-d del Pezzo surface times the line, are all the blowup calculus
 the classification needs.
 """
 
-from .errors import FanobaseError, InvalidDegree, InvalidM, Value, require_integers
+from .errors import FanobaseError, InvalidDegree, InvalidM, Value, checked
 
 
 class NormalBundle(Value):
@@ -44,39 +44,35 @@ class BlowupStep(Value):
             raise FanobaseError(f"curve genus must be non-negative, got {genus}")
 
 
+@checked
 def blowup_degree(step: BlowupStep) -> int:
     """Anticanonical cube after blowing up the curve."""
-    if type(step) is not BlowupStep:
-        raise FanobaseError(f"blowup_degree needs a blowup step, got {step!r}")
     return step.ambient_degree - 2 * step.curve_degree - 2 + 2 * step.genus
 
 
+@checked
 def exceptional_surface_index(nb: NormalBundle) -> int:
     """Index of the Hirzebruch surface P(N*) over the curve: a - b."""
-    if type(nb) is not NormalBundle:
-        raise FanobaseError(f"exceptional_surface_index needs a normal bundle, got {nb!r}")
     return nb.a - nb.b
 
 
+@checked
 def cone_case_normal_bundle(m: int) -> NormalBundle:
     """Splitting type (m-2, -2) forced when the anticanonical image is a cone."""
-    if type(m) is not int:
-        require_integers("a cone case", (m,))
     if m < 3:
         raise InvalidM(f"cone case needs m >= 3, got {m}")
     return NormalBundle(m - 2, -2)
 
 
+@checked
 def decomposition_fiber_coeff(a: int) -> int:
     """Fiber coefficient a + 2 in the decomposition of -K after the section blowup."""
-    if type(a) is not int:
-        require_integers("a splitting degree", (a,))
     return a + 2
 
 
+@checked
 def product_degree(dp_degree: int) -> int:
     """(-K)^3 of (del Pezzo surface of degree d) x (line): 6d."""
-    require_integers("a del Pezzo degree", (dp_degree,))
     if dp_degree < 1:
         raise InvalidDegree(f"del Pezzo degree must be >= 1, got {dp_degree}")
     return 6 * dp_degree

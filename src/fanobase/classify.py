@@ -24,7 +24,7 @@ from enum import Enum
 
 from . import blowup, cover, hirzebruch, k3pencil, wps
 from .blowup import BlowupStep, NormalBundle
-from .errors import CheckFailure, FanobaseError, OutOfRange, Value, require_integers
+from .errors import CheckFailure, FanobaseError, OutOfRange, Value, checked
 from .hirzebruch import from_scroll, minimal_section
 from .k3pencil import PencilClass
 from .scroll import Scroll, intersect
@@ -82,6 +82,7 @@ _NOT_RULED = CaseVerdict(
 )
 
 
+@checked
 def prune(a: int, b: int) -> CaseVerdict:
     """Classify a splitting type (a, b), a >= b >= -2.
 
@@ -89,8 +90,6 @@ def prune(a: int, b: int) -> CaseVerdict:
     case (0, -1) and the product case (0, 0); everything else is
     excluded with the arithmetical rule that kills it.
     """
-    if type(a) is not int or type(b) is not int:
-        require_integers("a splitting type", (a, b))
     if b < -2 or a < b:
         raise OutOfRange(f"need a >= b >= -2, got ({a}, {b})")
     if b == -2:
@@ -158,6 +157,7 @@ def product_case() -> ClassificationCase:
     )
 
 
+@checked
 def cone_case(m: int) -> ClassificationCase:
     """The degree 2m - 2 case over the cone; valid input for any m >= 3.
 
@@ -370,14 +370,13 @@ def _checks_cone(case: ClassificationCase) -> list:
     ]
 
 
+@checked
 def case_checks(case: ClassificationCase) -> list:
     """Evaluate the suite of the case's kind; never raises on a failing check.
 
     The point case has no normal bundle; the others follow :func:`prune`,
     whose six outcomes are shared values, so the suite is picked by identity.
     """
-    if type(case) is not ClassificationCase:
-        raise FanobaseError(f"case_checks needs a classification case, got {case!r}")
     if case.nb is None:
         return _checks_quadric_sextic(case)
     verdict = prune(case.nb.a, case.nb.b)
@@ -390,6 +389,7 @@ def case_checks(case: ClassificationCase) -> list:
     raise OutOfRange(f"splitting type ({case.nb.a}, {case.nb.b}) is excluded: {verdict.reason}")
 
 
+@checked
 def verify_case(case: ClassificationCase) -> list:
     """Run the case suite and raise CheckFailure on the first failing check."""
     checks = case_checks(case)

@@ -154,7 +154,7 @@ def _cmd_hilbert(args) -> dict:
 
 def _cmd_infer(args) -> dict:
     from .wps import infer_ring
-    gens, rels = infer_ring(list(args.series))
+    gens, rels = infer_ring(args.series)
     return {"generators": list(gens), "relations": list(rels)}
 
 

@@ -20,7 +20,7 @@ family down to 3 <= m <= 12.
 
 from enum import Enum
 
-from .errors import FanobaseError, InvalidM, Value, WrongRank, require_integers
+from .errors import FanobaseError, InvalidM, Value, WrongRank, checked
 from .scroll import (
     INFINITE,
     DivisorClass,
@@ -111,26 +111,25 @@ class BranchReport(Value):
         }
 
 
+@checked
 def branch_for_taut_anticanonical(s: Scroll) -> DoubleCoverSpec:
     """Branch data of the double cover whose -K pulls back O(1).
 
     Solving K_U = mu^*(K_W + L) = mu^*(-O(1)) gives L = -K_W - O(1) =
     (2, 2 - delta) on a rank-3 scroll, hence D = 2L = (4, 4 - 2*delta).
     """
-    if type(s) is not Scroll:
-        raise FanobaseError(f"branch_for_taut_anticanonical needs a scroll, got {s!r}")
     if len(s.twists) != 3:
         raise WrongRank(f"cover bookkeeping needs a threefold base, got {s!r}")
     return DoubleCoverSpec(base=s, branch=DivisorClass(4, 4 - 2 * sum(s.twists)))
 
 
+@checked
 def cover_degree(spec: DoubleCoverSpec) -> int:
     """(-K)^3 of the cover: twice the top self-intersection of O(1)."""
-    if type(spec) is not DoubleCoverSpec:
-        raise FanobaseError(f"cover_degree needs a double cover, got {spec!r}")
     return 2 * intersect(spec.base, [_TAUT] * spec.base.rank)
 
 
+@checked
 def analyze_cover(m: int) -> BranchReport:
     """Full branch analysis of the double cover over F(m, m-4, 0).
 
@@ -142,8 +141,6 @@ def analyze_cover(m: int) -> BranchReport:
     verdict (multiplicity <= 3).  The identity R.B.Sigma = 0, which lets
     the residual cubic avoid the section curve, is asserted along the way.
     """
-    if type(m) is not int:
-        require_integers("the cover family parameter", (m,))
     if m < 3:
         raise InvalidM(f"the cover family starts at m = 3, got {m}")
     base = Scroll(m, m - 4, 0)

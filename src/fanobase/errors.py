@@ -3,9 +3,12 @@
 Every error raised on bad mathematical input derives from
 :class:`FanobaseError`, so callers (in particular the command line
 front end) can map the whole family to a single "domain error" outcome.
-Every value type derives from :class:`Value`.
+Every value type derives from :class:`Value`, and every public function
+that takes a typed argument is :func:`checked`: one generator compiles
+both the value types' and the functions' refusals of a wrong type.
 """
 
+from functools import update_wrapper
 from operator import attrgetter
 
 
@@ -23,7 +26,9 @@ class Value:
     per field of its slot's setter.  It is ``_store``, and ``__init__``
     unless the class normalizes its input in its own (``Scroll``), which
     then calls ``_store``.  A refusal names the class by ``_noun``, and
-    ``__slots__`` then reads as the tuple of field names.
+    ``__slots__`` then reads as the tuple of field names.  The same
+    generator compiles the checks of a :func:`checked` function from its
+    parameters' annotations.
     A subclass also gets equality by class and fields, a hash by fields,
     the repr ``Name(field=value, ...)``, pickling and copying through its
     constructor, and refuses assignment and deletion.
@@ -68,15 +73,45 @@ class Value:
 
 def _constructor(cls, fields: dict):
     """The constructor of ``cls``, compiled from its declared ``fields`` (see :class:`Value`)."""
-    namespace = {"noun": cls._noun, "require_integers": require_integers, "refuse": _refuse,
-                 "validate": getattr(cls, "_validate", None)}
-    params, ints, tests, others, needs = [], [], [], [], []
-    for i, (name, declared) in enumerate(fields.items()):
+    defaults = []
+    for name, declared in fields.items():
         if type(declared) is tuple:
-            fields[name], namespace[f"default_{i}"] = declared
-        declared = fields[name]
-        params.append(f"{name}=default_{i}" if f"default_{i}" in namespace else name)
-        namespace[f"set_{i}"] = cls._set[i]
+            fields[name], default = declared
+            defaults.append(default)
+    validate = getattr(cls, "_validate", None)
+    tail = [f"validate({', '.join(fields)})"] if validate else []
+    tail += [f"set_{i}(self, {name})" for i, name in enumerate(fields)]
+    setters = {f"set_{i}": setter for i, setter in enumerate(cls._set)}
+    init = _compiled("__init__", cls._noun, {"self": object, **fields}, tail, {"validate": validate, **setters})
+    init.__qualname__, init.__annotations__ = f"{cls.__qualname__}.__init__", fields
+    init.__defaults__ = tuple(defaults)
+    return init
+
+
+def checked(func):
+    """``func`` behind the compiled refusal of every argument that is not of its annotated type.
+
+    The checks are those of a value type's constructor (see :class:`Value`),
+    read from the parameters' annotations (an unannotated one takes
+    anything) and named by the function's name; the wrapper keeps the
+    parameters, their defaults, the name, docstring and annotations, and
+    ``__wrapped__`` points at ``func``.
+    """
+    code = func.__code__
+    names = code.co_varnames[:code.co_argcount]
+    fields = {name: func.__annotations__.get(name, object) for name in names}
+    wrapper = _compiled(func.__name__, func.__name__, fields, [f"return func({', '.join(names)})"], {"func": func})
+    wrapper.__defaults__ = func.__defaults__
+    return update_wrapper(wrapper, func)
+
+
+def _compiled(function: str, noun: str, fields: dict, tail: list, namespace: dict):
+    """The function ``function`` of the parameters ``fields``, compiled to refuse in the words of
+    ``noun`` an argument not of its declared type (see :class:`Value`) and then to run the
+    lines ``tail`` in ``namespace``."""
+    namespace.update(noun=noun, require_integers=require_integers, refuse=_refuse)
+    ints, tests, others, needs = [], [], [], []
+    for i, (name, declared) in enumerate(fields.items()):
         if declared is int:
             ints.append(name)
         elif declared is not object:
@@ -93,13 +128,8 @@ def _constructor(cls, fields: dict):
     if tests:
         namespace["needs"] = _listing(needs)
         body.append(f"if {' or '.join(tests)}: refuse(noun, needs, ({', '.join(others)},))")
-    if namespace["validate"]:
-        body.append(f"validate({', '.join(fields)})")
-    body += [f"set_{i}(self, {name})" for i, name in enumerate(fields)]
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
-    init = namespace["__init__"]
-    init.__qualname__, init.__annotations__ = f"{cls.__qualname__}.__init__", fields
-    return init
+    exec(f"def {function}({', '.join(fields)}):\n    " + "\n    ".join(body + tail), namespace)
+    return namespace[function]
 
 
 # how a refusal names a field type that has no _noun of its own

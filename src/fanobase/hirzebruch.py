@@ -20,7 +20,7 @@ from .errors import (
     RankMismatch,
     SurfaceMismatch,
     Value,
-    require_integers,
+    checked,
 )
 from .scroll import DivisorClass, Scroll
 
@@ -62,25 +62,25 @@ class SurfaceClass(Value):
         return f"{self.xi} xi + {self.fib} f on Sigma_{self.e}"
 
 
+@checked
 def intersect2(c1: SurfaceClass, c2: SurfaceClass) -> int:
     """Intersection pairing -e*xi1*xi2 + xi1*fib2 + xi2*fib1."""
-    if type(c1) is not SurfaceClass or type(c2) is not SurfaceClass:
-        raise FanobaseError(f"intersect2 needs two surface classes, got {c1!r} and {c2!r}")
     c1._same_surface(c2)
     return -c1.e * c1.xi * c2.xi + c1.xi * c2.fib + c2.xi * c1.fib
 
 
+@checked
 def minimal_section(e: int) -> SurfaceClass:
     return SurfaceClass(e, 1, 0)
 
 
+@checked
 def canonical_surface_class(e: int) -> SurfaceClass:
     """K = -2*(minimal section) - (e+2)*(fiber)."""
-    if type(e) is not int:
-        require_integers("a surface index", (e,))
     return SurfaceClass(e, -2, -(e + 2))
 
 
+@checked
 def genus(c: SurfaceClass) -> int:
     """Arithmetic genus by adjunction, 1 + c.(c + K)/2.
 
@@ -89,8 +89,6 @@ def genus(c: SurfaceClass) -> int:
     closed form.  Only classes of effective shape (xi >= 0) are accepted;
     the pairing is always even for integral classes, which is asserted.
     """
-    if type(c) is not SurfaceClass:
-        raise FanobaseError(f"genus needs a surface class, got {c!r}")
     e, xi, fib = c.e, c.xi, c.fib
     if xi < 0:
         raise NotEffectiveShape(f"{c} has negative section coefficient")
@@ -99,23 +97,22 @@ def genus(c: SurfaceClass) -> int:
     return 1 + pairing // 2
 
 
+@checked
 def from_scroll(s: Scroll, c: DivisorClass) -> SurfaceClass:
     """Basis change from a rank-2 scroll: (h, f) -> (h, h*d1 + f) on Sigma_(d1-d2)."""
-    if type(s) is not Scroll or type(c) is not DivisorClass:
-        raise FanobaseError(f"from_scroll needs a scroll and a divisor class, got {s!r} and {c!r}")
     if s.rank != 2:
         raise RankMismatch(f"{s!r} is not a surface")
     d1, d2 = s.twists
     return SurfaceClass(d1 - d2, c.h, c.h * d1 + c.f)
 
 
+@checked
 def to_scroll(c: SurfaceClass):
     """Inverse basis change onto the normal form F(e, 0)."""
-    if type(c) is not SurfaceClass:
-        raise FanobaseError(f"to_scroll needs a surface class, got {c!r}")
     return Scroll(c.e, 0), DivisorClass(c.xi, c.fib - c.xi * c.e)
 
 
+@checked
 def forced_minimal_decomposition(c: SurfaceClass):
     """Split off the copies of the minimal section fixed in ``|c|``.
 
@@ -127,8 +124,6 @@ def forced_minimal_decomposition(c: SurfaceClass):
     Sigma_0 nothing is fixed.  Returns (mu, residual) with residual =
     c - mu*s = (xi - mu)s + fib*f, and residual . s >= 0.
     """
-    if type(c) is not SurfaceClass:
-        raise FanobaseError(f"forced_minimal_decomposition needs a surface class, got {c!r}")
     e, xi, fib = c.e, c.xi, c.fib
     if xi < 0 or fib < 0:
         raise EmptySystem(f"|{c}| is empty")

@@ -8,7 +8,7 @@ indentation), so a parsed report re-serializes to the identical byte string.
 
 from enum import Enum
 
-from .errors import FanobaseError, Value, require_integers
+from .errors import FanobaseError, Value, checked
 
 
 def to_json(data: dict) -> str:
@@ -71,6 +71,7 @@ def _jsonable(value):
     raise TypeError(f"no exact JSON encoding for {type(value).__name__} value {value!r}")
 
 
+@checked
 def build_report(version: str, max_degree: int | None = None) -> Report:
     """Verification report over all cases (optionally capped by degree).
 
@@ -80,7 +81,6 @@ def build_report(version: str, max_degree: int | None = None) -> Report:
     from .classify import case_checks, enumerate_cases  # here, so --json alone loads no classify
     cases = enumerate_cases()
     if max_degree is not None:
-        require_integers("a maximum degree", (max_degree,))
         cases = [case for case in cases if case.degree <= max_degree]
         if not cases:
             raise FanobaseError(f"no case has anticanonical degree <= {max_degree}")

@@ -78,6 +78,7 @@ from .errors import (
     NotRigid,
     TooFewSummands,
     Value,
+    checked,
     require_integers,
 )
 
@@ -377,6 +378,7 @@ def _band_deficit(d: tuple, h: int, f: int, lo: int, k_t: int, weighted: bool) -
     return (1 - p) * sy - a * sxy + e * (syy - sy) // 2 if weighted else sy
 
 
+@checked
 def h0(s: Scroll, c: DivisorClass) -> int:
     """Dimension of the space of sections of the class ``c`` on ``s``.
 
@@ -390,18 +392,16 @@ def h0(s: Scroll, c: DivisorClass) -> int:
     rank-3 closed forms raises BandTooWide before it starts.  Returns 0
     for negative fiberwise degree.
     """
-    if type(s) is not Scroll or type(c) is not DivisorClass:
-        raise FanobaseError(f"h0 needs a scroll and a divisor class, got {s!r} and {c!r}")
     return _count(s.twists, c.h, c.f, True)
 
 
+@checked
 def support_size(s: Scroll, c: DivisorClass) -> int:
     """Number of exponent vectors in :func:`monomial_support`, by the band split of :func:`h0`; 0 when c.h < 0."""
-    if type(s) is not Scroll or type(c) is not DivisorClass:
-        raise FanobaseError(f"support_size needs a scroll and a divisor class, got {s!r} and {c!r}")
     return _count(s.twists, c.h, c.f, False)
 
 
+@checked
 def monomial_support(s: Scroll, c: DivisorClass) -> set:
     """Exponent vectors e, |e| = c.h, whose coefficient space is non-zero.
 
@@ -412,13 +412,12 @@ def monomial_support(s: Scroll, c: DivisorClass) -> set:
     vector outside the support is visited, so the cost stays linear in
     the size of the output.
     """
-    if type(s) is not Scroll or type(c) is not DivisorClass:
-        raise FanobaseError(f"monomial_support needs a scroll and a divisor class, got {s!r} and {c!r}")
     if c.h < 0:
         raise NegativeDegree(f"class {c} has negative fiberwise degree")
     return _fill(s.twists, c.h, c.f)
 
 
+@checked
 def intersect(s: Scroll, classes) -> int:
     """Top intersection number of ``rank`` divisor classes.
 
@@ -430,8 +429,6 @@ def intersect(s: Scroll, classes) -> int:
     the product before h_i.  Symmetric and multilinear in its arguments;
     a list or tuple is read as given, any other iterable copied once.
     """
-    if type(s) is not Scroll:
-        raise FanobaseError(f"intersect needs a scroll, got {s!r}")
     if type(classes) is not list and type(classes) is not tuple:
         try:
             classes = list(classes)
@@ -451,6 +448,7 @@ def intersect(s: Scroll, classes) -> int:
     return sum(twists) * prod_h + mixed
 
 
+@checked
 def canonical_class(s: Scroll) -> DivisorClass:
     """Canonical class of the scroll: -n*O(1) + (delta - 2)*F.
 
@@ -460,11 +458,10 @@ def canonical_class(s: Scroll) -> DivisorClass:
     change, and -K - O(1) is half the branch class of the anticanonical
     double covers.
     """
-    if type(s) is not Scroll:
-        raise FanobaseError(f"canonical_class needs a scroll, got {s!r}")
     return DivisorClass(-s.rank, s.delta() - 2)
 
 
+@checked
 def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClass) -> int:
     """Number of copies of the rigid divisor ``comp`` fixed in ``|sys|``.
 
@@ -480,9 +477,6 @@ def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClas
     times exactly when every support monomial has e_1 >= mu*k: mu is the
     least x_1-exponent over the support, floor-divided by k.
     """
-    if type(s) is not Scroll or type(comp) is not DivisorClass or type(sys) is not DivisorClass:
-        raise FanobaseError(f"fixed_component_multiplicity needs a scroll and two divisor classes, "
-                            f"got {s!r}, {comp!r} and {sys!r}")
     k, d = comp.h, s.twists
     if k < 1 or comp.f != -k * d[0] or d[0] == d[1]:
         if k == 0 and comp.f == 0:
@@ -498,6 +492,7 @@ def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClas
     return span[0] // k
 
 
+@checked
 def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
     """Multiplicity of the generic member of ``|c|`` at the i-th coordinate point of a fiber.
 
@@ -506,10 +501,6 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
     is h minus the greatest x_i-exponent over the support, INFINITE
     when the support is empty.  Indices are 1-based, matching x_1 ... x_n.
     """
-    if type(s) is not Scroll or type(c) is not DivisorClass:
-        raise FanobaseError(f"fiber_multiplicity_at needs a scroll and a divisor class, got {s!r} and {c!r}")
-    if type(i) is not int:
-        require_integers("a coordinate index", (i,))
     d = s.twists
     if not 1 <= i <= len(d):
         raise IndexOutOfRange(f"index {i} not in 1..{len(d)}")
@@ -519,6 +510,7 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
     return INFINITE if span is None else c.h - span[1]
 
 
+@checked
 def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):
     """Sub-scroll on a subset of the summands, with the class restricted.
 
@@ -526,8 +518,6 @@ def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):
     them.  Classes restrict coefficient-wise, so the same (h, f) pair is
     returned together with the smaller scroll.
     """
-    if type(s) is not Scroll or type(c) is not DivisorClass:
-        raise FanobaseError(f"restrict_to_subscroll needs a scroll and a divisor class, got {s!r} and {c!r}")
     try:
         keep = tuple(keep)
     except TypeError:
@@ -542,6 +532,7 @@ def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):
     return Scroll(tuple(s.twists[i - 1] for i in indices)), c
 
 
+@checked
 def minimal_degree_data(s: Scroll):
     """Degree and ambient dimension of the image of the tautological map.
 
@@ -549,8 +540,6 @@ def minimal_degree_data(s: Scroll):
     scroll of degree delta, so degree = codim + 1: a variety of minimal
     degree.
     """
-    if type(s) is not Scroll:
-        raise FanobaseError(f"minimal_degree_data needs a scroll, got {s!r}")
     if s.twists[-1] < 0:
         raise NegativeTwist(f"{s!r} has a negative twist; no morphism onto a scroll cone")
     delta = s.delta()

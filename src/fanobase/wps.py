@@ -26,6 +26,7 @@ from .errors import (
     NonIntegralChi,
     Value,
     WrongDimension,
+    checked,
     require_integers,
 )
 
@@ -94,16 +95,15 @@ def _series(gen_degrees, rel_degrees, n_max: int) -> list:
     return coeffs
 
 
+@checked
 def hilbert_coeffs(x: WeightedCI, n_max: int = DEFAULT_TRUNCATION) -> list:
     """Graded dimensions of the coordinate ring of ``x`` up to degree n_max."""
-    if type(x) is not WeightedCI:
-        raise FanobaseError(f"hilbert_coeffs needs a weighted complete intersection, got {x!r}")
-    require_integers("a truncation degree", (n_max,))
     if n_max < 0:
         raise FanobaseError(f"n_max must be non-negative, got {n_max}")
     return _series(x.weights, x.rel_degrees, n_max)
 
 
+@checked
 def anticanonical_degree(x: WeightedCI):
     """(-K)^3 of a complete-intersection threefold, as an exact rational.
 
@@ -114,14 +114,13 @@ def anticanonical_degree(x: WeightedCI):
     # imported here, its only use, so importing this module loads no fractions/decimal
     from fractions import Fraction
 
-    if type(x) is not WeightedCI:
-        raise FanobaseError(f"anticanonical_degree needs a weighted complete intersection, got {x!r}")
     if x.dimension != 3:
         raise WrongDimension(f"{x} has dimension {x.dimension}, need 3")
     value = Fraction(x.amplitude() ** 3 * prod(x.rel_degrees), prod(x.weights))
     return value, value.denominator == 1 and value >= 1
 
 
+@checked
 def rr_chi(degree: int, k: int) -> int:
     """Riemann-Roch value chi(-kK) = (2k+1) + k(k+1)(2k+1)*degree/12.
 
@@ -130,14 +129,14 @@ def rr_chi(degree: int, k: int) -> int:
     anticanonical classes higher cohomology vanishes, so this value is
     the section count h^0(-kK).
     """
-    require_integers("a Riemann-Roch value", (degree, k))
     numerator = degree * k * (k + 1) * (2 * k + 1)
     if numerator % 12 != 0:
         raise NonIntegralChi(f"degree {degree}, twist {k}: chi is not an integer")
     return (2 * k + 1) + numerator // 12
 
 
-def infer_ring(seq):
+@checked
+def infer_ring(seq: list | tuple):
     """Minimal generator and relation degrees reproducing a dimension sequence.
 
     Degree by degree: a deficit of the candidate series against ``seq``
@@ -151,10 +150,6 @@ def infer_ring(seq):
     and ModelTooLarge, before building it, when the model would have more
     than MODEL_LIMIT generators and relations.
     """
-    try:
-        seq = list(seq)
-    except TypeError:
-        raise FanobaseError("a dimension sequence must be a sequence of integers") from None
     require_integers("a dimension sequence", seq)
     if len(seq) < 2:
         raise Inconsistent("need the sequence at least through degree 1")
@@ -178,5 +173,5 @@ def infer_ring(seq):
                 f"degree {d}: the model would grow past {MODEL_LIMIT} generators and relations"
             )
         (gens if delta > 0 else rels).extend([d] * abs(delta))
-    assert _series(gens, rels, n_max) == seq
+    assert _series(gens, rels, n_max) == list(seq)
     return tuple(gens), tuple(rels)

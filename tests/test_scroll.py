@@ -44,14 +44,8 @@ from fanobase import (
     TooFewSummands,
     WeightedCI,
     analyze_cover,
-    base_locus_dimension,
     blowup_degree,
     canonical_class,
-    canonical_surface_class,
-    cone_case,
-    cone_case_normal_bundle,
-    decomposition_fiber_coeff,
-    fano_degree,
     fiber_multiplicity_at,
     fixed_component_multiplicity,
     h0,
@@ -60,8 +54,6 @@ from fanobase import (
     intersect,
     minimal_degree_data,
     monomial_support,
-    product_degree,
-    prune,
     restrict_to_subscroll,
     rr_chi,
 )
@@ -235,29 +227,18 @@ def test_value_types_reject_bools_and_non_integers(make, bad):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda v: cone_case(v),
         lambda v: rr_chi(v, 1),
         lambda v: rr_chi(2, v),
-        lambda v: product_degree(v),
         lambda v: blowup_degree(BlowupStep(v, 2, 1)),
         lambda v: fiber_multiplicity_at(Scroll(5, 1, 0), C(2, 0), v),
         lambda v: restrict_to_subscroll(Scroll(5, 1, 0), v, C(2, 0)),
         lambda v: hilbert_coeffs(WeightedCI((1, 1, 1, 2, 3), (6,)), v),
         lambda v: infer_ring(v),
         lambda v: infer_ring(f"{v}234"),
-        lambda v: analyze_cover(v),
-        lambda v: base_locus_dimension(v),
-        lambda v: decomposition_fiber_coeff(v),
-        lambda v: prune(v, 0),
-        lambda v: fano_degree(v),
-        lambda v: cone_case_normal_bundle(v),
-        lambda v: canonical_surface_class(v),
     ],
     ids=[
-        "cone-case", "rr-degree", "rr-twist", "product-degree", "blowup-degree", "fiber-index",
-        "subscroll-keep", "hilbert-degree", "infer-sequence", "infer-text",
-        "cover-m", "k3-base-locus", "blowup-fiber-coeff", "prune", "fano-degree",
-        "cone-normal-bundle", "canonical-surface-class",
+        "rr-degree", "rr-twist", "blowup-degree", "fiber-index", "subscroll-keep", "hilbert-degree",
+        "infer-sequence", "infer-text",
     ],
 )
 def test_entry_functions_reject_bools_and_non_integers(call, bad):

@@ -15,11 +15,16 @@ every probe for a field declared ``object``; an entry's is the type of
 the entry it replaces.  A bool is never skipped as an int.  A public
 name that is no error, enum or constant and has no row fails the test,
 so new API is covered.  ``CALLS`` is also the table of valid
-constructions that ``test_values.py`` reads.
+constructions that ``test_values.py`` reads.  An ``ast`` scan keeps the
+refusal of a whole parameter declared: every public function that
+annotates a parameter is ``@checked``, and none tests such a parameter's
+type by hand.
 """
 
+import ast
 from enum import Enum
 from inspect import Parameter, signature
+from pathlib import Path
 
 import pytest
 
@@ -111,8 +116,8 @@ PROBES = (None, True, 1.5, (1, 2), "abc", [1, 2], object()) + tuple(
     getattr(fanobase, name)(*args) for name, args in CALLS.items() if isinstance(getattr(fanobase, name), type))
 
 # the parameters that take any list or tuple, by row name
-DECLARED = dict.fromkeys([("infer_ring", "seq"), ("restrict_to_subscroll", "keep"), ("WeightedCI", "weights"),
-                          ("WeightedCI", "rel_degrees"), ("Scroll-iterable", "twists")], tuple | list)
+DECLARED = dict.fromkeys([("restrict_to_subscroll", "keep"), ("WeightedCI", "weights"), ("WeightedCI", "rel_degrees"),
+                          ("Scroll-iterable", "twists")], tuple | list)
 
 
 def _exempt(value) -> bool:
@@ -223,3 +228,52 @@ def test_report_checks_are_label_and_check_pairs(checks):
     # to_json then failed to read the int's name
     with pytest.raises(FanobaseError):
         Report("0.1.0", checks).to_json()
+
+
+def _undeclared(source: str, public) -> list:
+    """(line, function, parameter) per public function of ``source`` that tests an annotated
+    parameter's type by hand, and (line, function, None) per one that annotates a parameter
+    but is not ``@checked``.  A hand test is ``type(p)`` in a comparison, ``isinstance(p, ...)``
+    or ``p`` in a tuple given to ``require_integers``; a test of an entry is not one."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in public:
+            continue
+        annotated = {arg.arg for arg in node.args.args if arg.annotation is not None}
+        if not any(isinstance(d, ast.Name) and d.id == "checked" for d in node.decorator_list):
+            found += [(node.lineno, node.name, None)] if annotated else []
+            continue
+        for inner in ast.walk(node):
+            tested = []
+            if isinstance(inner, ast.Compare) and isinstance(inner.left, ast.Call):
+                tested = inner.left.args if getattr(inner.left.func, "id", None) == "type" else []
+            elif isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "isinstance":
+                tested = inner.args[:1]
+            elif isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "require_integers":
+                tested = [elt for arg in inner.args if isinstance(arg, ast.Tuple) for elt in arg.elts]
+            found += [(inner.lineno, node.name, t.id) for t in tested
+                      if isinstance(t, ast.Name) and t.id in annotated]
+    return found
+
+
+def test_the_scan_finds_a_hand_written_refusal():
+    # a decorated function that still tests a parameter, in each of the three forms, and an
+    # undecorated annotated one are found; a test of an entry or of an unannotated parameter is not
+    probe = (
+        "@checked\ndef f(s: Scroll, m: int, xs: tuple, keep):\n"
+        "    if type(s) is not Scroll or isinstance(m, bool):\n        require_integers('m', (m,))\n"
+        "    require_integers('xs', xs)\n    for x in xs:\n        if type(x) is not int: pass\n"
+        "    if type(keep) is not list: pass\n\n"
+        "def g(m: int):\n    return m\n\ndef h(m):\n    return m\n\ndef _k(m: int):\n    return m\n"
+    )
+    assert _undeclared(probe, {"f", "g", "h"}) == [(3, "f", "s"), (3, "f", "m"), (4, "f", "m"), (10, "g", None)]
+
+
+def test_public_functions_declare_their_refusals():
+    # every public function with an annotated parameter refuses it through @checked, and
+    # none repeats that refusal by hand
+    modules = ("blowup", "classify", "cover", "hirzebruch", "k3pencil", "report", "scroll", "wps")
+    src = Path(fanobase.__file__).resolve().parent
+    found = {name: hits for name in modules
+             if (hits := _undeclared((src / f"{name}.py").read_text(), set(fanobase.__all__)))}
+    assert found == {}

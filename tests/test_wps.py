@@ -61,10 +61,9 @@ def oracle_infer_ring(seq):
                 coeffs[k] -= coeffs[k - e]
         return coeffs
 
-    try:
-        seq = list(seq)
-    except TypeError:
-        raise FanobaseError("a dimension sequence must be a sequence of integers") from None
+    if type(seq) not in (list, tuple):
+        raise FanobaseError(f"infer_ring needs a list or a tuple, got {seq!r}")
+    seq = list(seq)
     require_integers("a dimension sequence", seq)
     if len(seq) < 2:
         raise Inconsistent("need the sequence at least through degree 1")
@@ -214,6 +213,20 @@ def test_infer_ring_rejects_bad_input():
         infer_ring([1, 2, -1])
     with pytest.raises(Inconsistent):
         infer_ring([1, 2, 0, 0])  # three quadric relations overshoot degree 3
+
+
+def test_infer_ring_reads_only_a_list_or_a_tuple():
+    # a set or a dict has no order of degrees: the set of [1, 1, 2, 2, 3, 3] was once
+    # read as [1, 2, 3], giving ((1, 1), ()), and a dict was read by its keys
+    for seq in ({1, 1, 2, 2, 3, 3}, dict.fromkeys([1, 1, 2, 2, 3, 3]), iter([1, 1, 2]), "1123"):
+        with pytest.raises(FanobaseError):
+            infer_ring(seq)
+    for seq, model in (([1, 1, 2, 2, 3, 3], ((1, 2), ())), ([1, 3, 7, 14, 25, 41, 63], ((1, 1, 1, 2, 3), (6,))),
+                       ([1, 1, 1, 1], ((1,), ()))):
+        assert infer_ring(seq) == infer_ring(tuple(seq)) == model
+    for seq in ([1], [2, 3], [1, 2, 0, 0]):
+        with pytest.raises(Inconsistent):
+            infer_ring(tuple(seq))
 
 
 def test_infer_ring_refuses_a_model_past_the_limit():
