@@ -24,7 +24,7 @@ from enum import Enum
 
 from . import blowup, cover, hirzebruch, k3pencil, wps
 from .blowup import BlowupStep, NormalBundle
-from .errors import CheckFailure, FanobaseError, OutOfRange, Value, checked
+from .errors import CheckFailure, OutOfRange, Value, checked
 from .hirzebruch import from_scroll, minimal_section
 from .k3pencil import PencilClass
 from .scroll import Scroll, intersect
@@ -58,13 +58,7 @@ class ClassificationCase(Value):
     """One row of the classification with its derived invariants."""
 
     __slots__ = {"label": str, "m": int, "nb": NormalBundle | None, "w": str, "degree": int,
-                 "bs_dim": int, "construction": str, "assumes": (tuple, ()), "notes": (str, "")}
-
-    @staticmethod
-    def _validate(label, m, nb, w, degree, bs_dim, construction, assumes, notes):
-        for assumption in assumes:
-            if type(assumption) is not str:
-                raise FanobaseError(f"a classification case needs strings as assumptions, got {assumption!r}")
+                 "bs_dim": int, "construction": str, "assumes": (tuple[str, ...], ()), "notes": (str, "")}
 
 
 # the six outcomes of prune, built once: values are immutable, so sharing them is safe

@@ -5,7 +5,8 @@ Every error raised on bad mathematical input derives from
 front end) can map the whole family to a single "domain error" outcome.
 Every value type derives from :class:`Value`, and every public function
 that takes a typed argument is :func:`checked`: one generator compiles
-both the value types' and the functions' refusals of a wrong type.
+both the value types' and the functions' refusals of a wrong type, of a
+whole argument and of each entry of one declared ``tuple[T, ...]``.
 """
 
 from functools import update_wrapper
@@ -17,18 +18,20 @@ class Value:
 
     A subclass maps each field name in ``__slots__`` to the type it accepts
     (``int``, a class, a union such as ``NormalBundle | None``, ``object``
-    for any) or to a pair ``(type, default)``; a further rule (a >= b, an
-    even branch) is a static method ``_validate`` of the fields that raises.
-    From that the base compiles the constructor once per class, as
-    ``dataclasses`` does: an inline ``type(x) is int`` test per int field,
-    falling back to ``require_integers`` (an int subclass passes, stored as
-    given), ``type(x) is not T`` per other field, ``_validate``, and one call
-    per field of its slot's setter.  It is ``_store``, and ``__init__``
-    unless the class normalizes its input in its own (``Scroll``), which
-    then calls ``_store``.  A refusal names the class by ``_noun``, and
-    ``__slots__`` then reads as the tuple of field names.  The same
-    generator compiles the checks of a :func:`checked` function from its
-    parameters' annotations.
+    for any, ``tuple[T, ...]`` for a list or a tuple of T) or to a pair
+    ``(type, default)``; a further rule (a >= b, an even branch) is a static
+    method ``_validate`` of the fields that raises.  From that the base
+    compiles the constructor once per class, as ``dataclasses`` does: an
+    inline ``type(x) is int`` test per int field, falling back to
+    ``require_integers`` (an int subclass passes, stored as given),
+    ``type(x) is not T`` per other field, then per ``tuple[T, ...]`` field
+    ``tuple(x)`` and the test of a T field on each entry, ``_validate``, and
+    one call per field of its slot's setter.  It is ``_store``, and
+    ``__init__`` except in ``Scroll``, the one class that writes its own (it
+    sorts its twists once they are integers) and then calls ``_store``.  A
+    refusal names the class by ``_noun``, and ``__slots__`` then reads as
+    the tuple of field names.  The same generator compiles the checks of a
+    :func:`checked` function from its parameters' annotations.
     A subclass also gets equality by class and fields, a hash by fields,
     the repr ``Name(field=value, ...)``, pickling and copying through its
     constructor, and refuses assignment and deletion.
@@ -110,25 +113,35 @@ def _compiled(function: str, noun: str, fields: dict, tail: list, namespace: dic
     ``noun`` an argument not of its declared type (see :class:`Value`) and then to run the
     lines ``tail`` in ``namespace``."""
     namespace.update(noun=noun, require_integers=require_integers, refuse=_refuse)
-    ints, tests, others, needs = [], [], [], []
+
+    def test(name, declared, key):
+        """The test that ``name`` is not of the type ``declared``, kept as ``key``, and its words."""
+        kinds = getattr(declared, "__args__", (declared,))  # a union's members
+        namespace[key] = kinds if len(kinds) > 1 else declared
+        return (f"type({name}) {'not in' if len(kinds) > 1 else 'is not'} {key}",
+                " or ".join(_NOUNS.get(kind) or getattr(kind, "_noun", f"a {kind.__name__}") for kind in kinds))
+
+    ints, tests, entries = [], [], []
     for i, (name, declared) in enumerate(fields.items()):
+        if getattr(declared, "__origin__", None) is tuple:  # tuple[T, ...]: a list or a tuple of T
+            entry, _ = declared.__args__
+            check = (f"if type(entry_) is not int: require_integers(noun, {name}); break" if entry is int
+                     else "if {}: refuse(noun, {!r}, (entry_,))".format(*test("entry_", entry, f"entry_{i}")))
+            entries.append(f"{name} = tuple({name})\n    for entry_ in {name}:\n        {check}")
+            declared = list | tuple
         if declared is int:
             ints.append(name)
         elif declared is not object:
-            kinds = getattr(declared, "__args__", (declared,))  # a union's members
-            namespace[f"type_{i}"] = kinds if len(kinds) > 1 else declared
-            tests.append(f"type({name}) {'not in' if len(kinds) > 1 else 'is not'} type_{i}")
-            others.append(name)
-            needs.append(" or ".join(_NOUNS.get(kind) or getattr(kind, "_noun", f"a {kind.__name__}")
-                                     for kind in kinds))
+            tests.append((name, *test(name, declared, f"type_{i}")))
     body = []
     if ints:
         tested = " or ".join(f"type({name}) is not int" for name in ints)
         body.append(f"if {tested}: require_integers(noun, ({', '.join(ints)},))")
     if tests:
+        others, tested, needs = zip(*tests)
         namespace["needs"] = _listing(needs)
-        body.append(f"if {' or '.join(tests)}: refuse(noun, needs, ({', '.join(others)},))")
-    exec(f"def {function}({', '.join(fields)}):\n    " + "\n    ".join(body + tail), namespace)
+        body.append(f"if {' or '.join(tested)}: refuse(noun, needs, ({', '.join(others)},))")
+    exec(f"def {function}({', '.join(fields)}):\n    " + "\n    ".join(body + entries + tail), namespace)
     return namespace[function]
 
 

@@ -154,13 +154,13 @@ class Scroll(Value):
     """F(d1, ..., dn); the constructor sorts twists non-increasing.
 
     Accepts either separate integer arguments ``Scroll(5, 1, 0)`` or a
-    single iterable ``Scroll([5, 1, 0])``.
+    single list or tuple ``Scroll([5, 1, 0])``.
     """
 
     __slots__ = {"twists": tuple}
 
     def __init__(self, *twists):
-        if len(twists) == 1 and hasattr(twists[0], "__iter__"):
+        if len(twists) == 1 and type(twists[0]) in (list, tuple):
             twists = tuple(twists[0])
         for twist in twists:
             if type(twist) is not int:
@@ -511,18 +511,13 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
 
 
 @checked
-def restrict_to_subscroll(s: Scroll, keep, c: DivisorClass):
+def restrict_to_subscroll(s: Scroll, keep: tuple[int, ...], c: DivisorClass):
     """Sub-scroll on a subset of the summands, with the class restricted.
 
-    ``keep`` is a collection of 1-based summand indices, at least two of
-    them.  Classes restrict coefficient-wise, so the same (h, f) pair is
+    ``keep`` is a list or a tuple of 1-based summand indices, at least two
+    of them.  Classes restrict coefficient-wise, so the same (h, f) pair is
     returned together with the smaller scroll.
     """
-    try:
-        keep = tuple(keep)
-    except TypeError:
-        raise FanobaseError(f"summand indices must be a collection of integers, got {keep!r}") from None
-    require_integers("summand indices", keep)
     indices = sorted(set(keep))
     if len(indices) < 2:
         raise TooFewSummands(f"need at least two summands, got {indices}")

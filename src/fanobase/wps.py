@@ -27,7 +27,6 @@ from .errors import (
     Value,
     WrongDimension,
     checked,
-    require_integers,
 )
 
 DEFAULT_TRUNCATION = 24
@@ -41,22 +40,17 @@ MODEL_LIMIT = 10**5
 class WeightedCI(Value):
     """Weights (w_0, ..., w_N) and relation degrees (e_1, ..., e_c) of a weighted complete intersection."""
 
-    __slots__ = {"weights": tuple, "rel_degrees": tuple}
+    __slots__ = {"weights": tuple[int, ...], "rel_degrees": (tuple[int, ...], ())}
     _noun = "a weighted complete intersection"
 
-    def __init__(self, weights: tuple, rel_degrees: tuple = ()):
-        try:
-            weights, rels = tuple(weights), tuple(rel_degrees)
-        except TypeError:
-            raise FanobaseError("weights and relation degrees must be sequences of integers") from None
-        require_integers(self._noun, weights + rels)
+    @staticmethod
+    def _validate(weights, rel_degrees):
         if not weights or any(w < 1 for w in weights):
             raise FanobaseError(f"weights must be positive integers, got {weights!r}")
-        if any(e < 2 for e in rels):
-            raise FanobaseError(f"relation degrees must be integers >= 2, got {rels!r}")
-        if len(rels) >= len(weights):
+        if any(e < 2 for e in rel_degrees):
+            raise FanobaseError(f"relation degrees must be integers >= 2, got {rel_degrees!r}")
+        if len(rel_degrees) >= len(weights):
             raise FanobaseError("need fewer relations than weights (positive dimension)")
-        self._store(weights, rels)
 
     @property
     def dimension(self) -> int:
@@ -136,7 +130,7 @@ def rr_chi(degree: int, k: int) -> int:
 
 
 @checked
-def infer_ring(seq: list | tuple):
+def infer_ring(seq: tuple[int, ...]):
     """Minimal generator and relation degrees reproducing a dimension sequence.
 
     Degree by degree: a deficit of the candidate series against ``seq``
@@ -150,7 +144,6 @@ def infer_ring(seq: list | tuple):
     and ModelTooLarge, before building it, when the model would have more
     than MODEL_LIMIT generators and relations.
     """
-    require_integers("a dimension sequence", seq)
     if len(seq) < 2:
         raise Inconsistent("need the sequence at least through degree 1")
     if seq[0] != 1:

@@ -2,7 +2,8 @@
 (``classify._checks_cone``, ``classify.prune``,
 ``cover.branch_for_taut_anticanonical``, ``hirzebruch.forced_minimal_decomposition``,
 ``hirzebruch.genus``, the even-branch rule ``_validate`` and ``half`` of
-``cover.DoubleCoverSpec``), the kernels ``wps._series``, ``wps.infer_ring``,
+``cover.DoubleCoverSpec``), the range rules ``_validate`` of
+``wps.WeightedCI``, the kernels ``wps._series``, ``wps.infer_ring``,
 ``scroll._exponent_range``, ``cover.analyze_cover``, the support fill
 ``scroll._fill`` and its simplex blocks ``scroll._simplex``,
 ``errors._constructor``, which builds every value type's constructor, and
@@ -81,6 +82,8 @@ TARGETS = {
                                   ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
     "DoubleCoverSpec.half": ("src/fanobase/cover.py",
                              ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
+    "WeightedCI._validate": ("src/fanobase/wps.py",
+                             ("tests/test_wps.py", "tests/test_values.py", "tests/test_classify.py")),
     "_series": ("src/fanobase/wps.py", ("tests/test_wps.py", "tests/test_classify.py")),
     "infer_ring": ("src/fanobase/wps.py", ("tests/test_wps.py", "tests/test_classify.py")),
     "_exponent_range": ("src/fanobase/scroll.py",
@@ -116,11 +119,11 @@ EQUIVALENT = {
         "the switch only picks one of two forms of the same division step, so only the speed changes",
     ("_series", 17, "w > longest  ->  w >= longest"):
         "the switch only picks one of two forms of the same division step, so only the speed changes",
-    ("infer_ring", 24, "range(1, n_max + 1)  ->  range(0, n_max + 1)"):
+    ("infer_ring", 23, "range(1, n_max + 1)  ->  range(0, n_max + 1)"):
         "at degree 0 the candidate is [1] and seq[0] == 1 is checked before the loop, so delta is 0",
-    ("infer_ring", 36, "delta > 0  ->  delta >= 0"):
+    ("infer_ring", 35, "delta > 0  ->  delta >= 0"):
         "at delta = 0 the generators grow by an empty list instead of the relations",
-    ("infer_ring", 36, "delta > 0  ->  delta > -1"):
+    ("infer_ring", 35, "delta > 0  ->  delta > -1"):
         "at delta = 0 the generators grow by an empty list instead of the relations",
 }
 

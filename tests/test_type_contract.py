@@ -9,16 +9,17 @@ argument in turn gets the same probes, the other entries as given.
 Every such call must raise ``FanobaseError``: a wrong type never reaches
 a stray ``TypeError`` or ``AttributeError``, and is never stored.  A
 probe of the declared type is skipped: a parameter's is its entry in
-``DECLARED`` (the parameters that take any list or tuple) or else its
-annotation, so a tuple is skipped for ``ClassificationCase.assumes`` and
-every probe for a field declared ``object``; an entry's is the type of
-the entry it replaces.  A bool is never skipped as an int.  A public
+``DECLARED`` (``Scroll``'s one-iterable form, which no annotation states)
+or else its annotation, where ``tuple[T, ...]`` reads as a list or a
+tuple, so a tuple and a list are skipped for ``ClassificationCase.assumes``
+and every probe for a field declared ``object``; an entry's is the type
+of the entry it replaces.  A bool is never skipped as an int.  A public
 name that is no error, enum or constant and has no row fails the test,
 so new API is covered.  ``CALLS`` is also the table of valid
 constructions that ``test_values.py`` reads.  An ``ast`` scan keeps the
 refusal of a whole parameter declared: every public function that
 annotates a parameter is ``@checked``, and none tests such a parameter's
-type by hand.
+type, or the entries of one declared ``tuple[T, ...]``, by hand.
 """
 
 import ast
@@ -115,9 +116,8 @@ FORMS = {"Scroll-iterable": ("Scroll", ([5, 1, 0],))}
 PROBES = (None, True, 1.5, (1, 2), "abc", [1, 2], object()) + tuple(
     getattr(fanobase, name)(*args) for name, args in CALLS.items() if isinstance(getattr(fanobase, name), type))
 
-# the parameters that take any list or tuple, by row name
-DECLARED = dict.fromkeys([("restrict_to_subscroll", "keep"), ("WeightedCI", "weights"), ("WeightedCI", "rel_degrees"),
-                          ("Scroll-iterable", "twists")], tuple | list)
+# the parameters whose type no annotation states, by row name
+DECLARED = {("Scroll-iterable", "twists"): tuple | list}
 
 
 def _exempt(value) -> bool:
@@ -132,6 +132,8 @@ def _declared(name: str, params: list, position: int):
     param = params[min(position, len(params) - 1)]  # a *twists takes every position from its own on
     if (name, param.name) in DECLARED or param.annotation is Parameter.empty:
         return DECLARED.get((name, param.name))
+    if getattr(param.annotation, "__origin__", None) is tuple:  # tuple[T, ...]: a list or a tuple
+        return tuple | list
     return param.annotation
 
 
@@ -230,43 +232,63 @@ def test_report_checks_are_label_and_check_pairs(checks):
         Report("0.1.0", checks).to_json()
 
 
+def _tested(node, bare=()) -> list:
+    """The names whose type ``node`` tests: ``p`` of ``type(p)`` in a comparison or of
+    ``isinstance(p, ...)``, each name in a tuple given to ``require_integers``, and a name of
+    ``bare`` given to it bare."""
+    names, called = [], getattr(getattr(node, "func", None), "id", None)
+    if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+        names = node.left.args if getattr(node.left.func, "id", None) == "type" else []
+    elif called == "isinstance":
+        names = node.args[:1]
+    elif called == "require_integers":
+        names = [elt for arg in node.args
+                 for elt in (arg.elts if isinstance(arg, ast.Tuple) else [arg] if getattr(arg, "id", None) in bare else [])]
+    return [name.id for name in names if isinstance(name, ast.Name)]
+
+
 def _undeclared(source: str, public) -> list:
     """(line, function, parameter) per public function of ``source`` that tests an annotated
     parameter's type by hand, and (line, function, None) per one that annotates a parameter
     but is not ``@checked``.  A hand test is ``type(p)`` in a comparison, ``isinstance(p, ...)``
-    or ``p`` in a tuple given to ``require_integers``; a test of an entry is not one."""
+    or ``p`` in a tuple given to ``require_integers``.  A test of an entry is one only for a
+    parameter ``p`` declared ``tuple[T, ...]``, whose declaration tests its entries: ``p``
+    given bare to ``require_integers``, or a loop ``for x in p`` that tests the type of ``x``."""
     found = []
     for node in ast.parse(source).body:
         if not isinstance(node, ast.FunctionDef) or node.name not in public:
             continue
         annotated = {arg.arg for arg in node.args.args if arg.annotation is not None}
+        sequences = {arg.arg for arg in node.args.args
+                     if isinstance(arg.annotation, ast.Subscript) and getattr(arg.annotation.value, "id", None) == "tuple"}
         if not any(isinstance(d, ast.Name) and d.id == "checked" for d in node.decorator_list):
             found += [(node.lineno, node.name, None)] if annotated else []
             continue
         for inner in ast.walk(node):
-            tested = []
-            if isinstance(inner, ast.Compare) and isinstance(inner.left, ast.Call):
-                tested = inner.left.args if getattr(inner.left.func, "id", None) == "type" else []
-            elif isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "isinstance":
-                tested = inner.args[:1]
-            elif isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "require_integers":
-                tested = [elt for arg in inner.args if isinstance(arg, ast.Tuple) for elt in arg.elts]
-            found += [(inner.lineno, node.name, t.id) for t in tested
-                      if isinstance(t, ast.Name) and t.id in annotated]
+            tested = _tested(inner, sequences)
+            if isinstance(inner, ast.For) and getattr(inner.iter, "id", None) in sequences:
+                entry = getattr(inner.target, "id", None)
+                tested = [inner.iter.id] if any(entry in _tested(sub) for sub in ast.walk(inner)) else []
+            found += [(inner.lineno, node.name, name) for name in tested if name in annotated]
     return found
 
 
 def test_the_scan_finds_a_hand_written_refusal():
     # a decorated function that still tests a parameter, in each of the three forms, and an
-    # undecorated annotated one are found; a test of an entry or of an unannotated parameter is not
+    # undecorated annotated one are found; a test of an entry or of an unannotated parameter
+    # is not, but the entries of a parameter declared tuple[T, ...] are the declaration's to
+    # test, so either form of an entry test of one is found
     probe = (
-        "@checked\ndef f(s: Scroll, m: int, xs: tuple, keep):\n"
+        "@checked\ndef f(s: Scroll, m: int, xs: tuple, keep, ys: tuple[int, ...]):\n"
         "    if type(s) is not Scroll or isinstance(m, bool):\n        require_integers('m', (m,))\n"
         "    require_integers('xs', xs)\n    for x in xs:\n        if type(x) is not int: pass\n"
-        "    if type(keep) is not list: pass\n\n"
+        "    if type(keep) is not list: pass\n"
+        "    require_integers('ys', ys)\n    for y in ys:\n        if isinstance(y, bool): pass\n"
+        "    for y in ys:\n        print(y)\n\n"
         "def g(m: int):\n    return m\n\ndef h(m):\n    return m\n\ndef _k(m: int):\n    return m\n"
     )
-    assert _undeclared(probe, {"f", "g", "h"}) == [(3, "f", "s"), (3, "f", "m"), (4, "f", "m"), (10, "g", None)]
+    assert sorted(_undeclared(probe, {"f", "g", "h"}), key=lambda hit: hit[0]) == [
+        (3, "f", "s"), (3, "f", "m"), (4, "f", "m"), (9, "f", "ys"), (10, "f", "ys"), (15, "g", None)]
 
 
 def test_public_functions_declare_their_refusals():

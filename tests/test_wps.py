@@ -64,7 +64,7 @@ def oracle_infer_ring(seq):
     if type(seq) not in (list, tuple):
         raise FanobaseError(f"infer_ring needs a list or a tuple, got {seq!r}")
     seq = list(seq)
-    require_integers("a dimension sequence", seq)
+    require_integers("infer_ring", seq)
     if len(seq) < 2:
         raise Inconsistent("need the sequence at least through degree 1")
     if seq[0] != 1:
@@ -110,6 +110,12 @@ def test_weighted_ci_validation():
         WeightedCI((1, 1), (1,))
     with pytest.raises(FanobaseError):
         WeightedCI((1, 1), (2, 3))
+    # weights and relation degrees are lists or tuples of integers: a dict was once
+    # read by its keys, as weights (2, 1, 3), and a generator is read only once
+    for weights, rels in (({2: 0, 1: 0, 3: 0}, {6: 0}), ((w for w in (1, 1, 2)), ()), ((1, True), ())):
+        with pytest.raises(FanobaseError):
+            WeightedCI(weights, rels)
+    assert WeightedCI([1, 1, 1, 2, 3], [6]) == WeightedCI((1, 1, 1, 2, 3), (6,))
     x = WeightedCI((1, 1, 1, 1, 2, 3), (2, 6))
     assert x.dimension == 3
     assert x.amplitude() == 1
