@@ -22,7 +22,7 @@ from .errors import (
     Value,
     checked,
 )
-from .scroll import DivisorClass, Scroll
+from .scroll import DivisorClass, Scroll, _exponent_range
 
 
 class SurfaceClass(Value):
@@ -116,16 +116,15 @@ def to_scroll(c: SurfaceClass):
 def forced_minimal_decomposition(c: SurfaceClass):
     """Split off the copies of the minimal section fixed in ``|c|``.
 
-    ``|c|`` is non-empty exactly when xi >= 0 and fib >= 0 (the top
-    support monomial has weight fib), otherwise EmptySystem.  On Sigma_e,
-    e >= 1, the minimal section s is fixed in ``|c|`` exactly while
-    c . s = fib - e*xi < 0, and subtracting s raises c . s by e, so the
-    least mu with s . (c - mu*s) >= 0 is mu = max(0, xi - fib // e); on
-    Sigma_0 nothing is fixed.  Returns (mu, residual) with residual =
-    c - mu*s = (xi - mu)s + fib*f, and residual . s >= 0.
+    In the normal form F(e, 0) (:func:`to_scroll`) ``c`` is (xi, fib - e*xi),
+    and the minimal section s = {x_1 = 0} is fixed mu times exactly while
+    every support monomial has e_1 >= mu: mu is the least x_1-exponent over
+    the support, read by ``scroll._exponent_range`` as in
+    :func:`fixed_component_multiplicity`, max(0, xi - fib // e) for e >= 1
+    and 0 on Sigma_0.  ``|c|`` is empty (EmptySystem) exactly when xi < 0 or
+    fib < 0.  Returns (mu, residual = (xi - mu)s + fib*f), residual . s >= 0.
     """
-    e, xi, fib = c.e, c.xi, c.fib
-    if xi < 0 or fib < 0:
+    span = _exponent_range((c.e, 0), c.xi, c.fib - c.e * c.xi, 1)
+    if span is None:
         raise EmptySystem(f"|{c}| is empty")
-    mu = max(0, xi - fib // e) if e else 0
-    return mu, SurfaceClass(e, xi - mu, fib)
+    return span[0], SurfaceClass(c.e, c.xi - span[0], c.fib)

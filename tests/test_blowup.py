@@ -13,6 +13,7 @@ from fanobase import (
     decomposition_fiber_coeff,
     exceptional_surface_index,
     product_degree,
+    rr_chi,
 )
 
 
@@ -23,11 +24,13 @@ def test_blowup_degree_examples():
         assert blowup_degree(BlowupStep(2 * m - 2, m - 2, 0)) == 0
 
 
-def test_two_step_chain_for_cone_cases():
-    for m in range(3, 13):
-        first = blowup_degree(BlowupStep(4 * m - 8, m - 4, 0))
-        assert first == 2 * m - 2
-        assert blowup_degree(BlowupStep(first, m - 2, 0)) == 0
+def test_blowup_degree_by_riemann_roch():
+    # second route: the blowup loses the sections through C, chi(O_C(-K)) = -K.C + 1 - g of them
+    for old in range(0, 40, 2):
+        for curve in range(20):
+            for genus in range(8):
+                new = blowup_degree(BlowupStep(old, curve, genus))
+                assert rr_chi(new, 1) == rr_chi(old, 1) - (curve + 1 - genus), (old, curve, genus)
 
 
 def test_blowup_degree_monotonicity():

@@ -100,10 +100,10 @@ def split_one_copy_at_a_time(c):
 
 
 def test_forced_decomposition_matches_scroll_fixed_component():
-    # the closed form mu = max(0, xi - fib // e) against the subtraction
-    # loop and, for e >= 1, against the scroll's fixed-component count of
-    # the rigid class (1, -e); the cone test xi, fib >= 0 against h0 in the
-    # scroll basis
+    # mu, read off the x_1-exponent range, against the subtraction loop, the
+    # independent route; for e >= 1 also against the scroll's fixed-component
+    # count of the rigid class (1, -e), which reads the same range; emptiness
+    # against h0 in the scroll basis
     nonzero = 0
     for e in range(8):
         for xi in range(-3, 8):

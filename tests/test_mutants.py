@@ -2,9 +2,9 @@
 
 A mutant's source is ``ast.unparse`` of the edited module tree, so the
 table is only as good as the round trip of each target module through
-``ast.unparse``, and as the names in ``TARGETS``.  Both are checked here
-in a fraction of a second, instead of after a full table run, and so is
-the outcome plugin each run loads, on stand-in reports.
+``ast.unparse``, and as the names and test modules in ``TARGETS``.  All
+three are checked here in a fraction of a second, instead of after a full
+table run, and so is the outcome plugin each run loads, on stand-in reports.
 """
 
 import ast
@@ -31,6 +31,14 @@ def test_every_target_is_a_function_with_sites():
     for name, (path, _) in mutants.TARGETS.items():
         fn = mutants._function(trees[path], name)
         assert isinstance(fn, ast.FunctionDef) and mutants._sites(fn), name
+
+
+def test_every_listed_test_module_exists():
+    # pytest refuses a path that is not there before any test runs, mutated or
+    # not, so every mutant of the target would read as surviving
+    missing = [(name, module) for name, (_, modules) in mutants.TARGETS.items() for module in modules
+               if not (mutants.ROOT / module).is_file()]
+    assert missing == []
 
 
 def _edits(old, new) -> list:
