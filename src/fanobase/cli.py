@@ -144,12 +144,13 @@ def _cmd_k3(args) -> dict:
 
 
 def _cmd_hilbert(args) -> dict:
-    from .wps import WeightedCI, hilbert_coeffs
-    if args.max > HILBERT_LIMIT:
+    from .wps import DEFAULT_TRUNCATION, WeightedCI, hilbert_coeffs
+    n_max = DEFAULT_TRUNCATION if args.max is None else args.max
+    if n_max > HILBERT_LIMIT:
         raise FanobaseError(
-            f"--max {args.max} is more than the {HILBERT_LIMIT} degrees this command expands"
+            f"--max {n_max} is more than the {HILBERT_LIMIT} degrees this command expands"
         )
-    return {"coefficients": hilbert_coeffs(WeightedCI(args.weights, args.degrees), args.max)}
+    return {"coefficients": hilbert_coeffs(WeightedCI(args.weights, args.degrees), n_max)}
 
 
 def _cmd_infer(args) -> dict:
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--weights", type=_csv_ints, required=True, metavar="CSV")
     q.add_argument("--degrees", type=_csv_ints, default=(), metavar="CSV",
                    help="relation degrees (may be empty)")
-    q.add_argument("--max", type=int, default=24, metavar="N", help="truncation degree")
+    q.add_argument("--max", type=int, metavar="N", help="truncation degree")
     q = leaf(wps_sub, "infer", "infer generators and relations from a dimension sequence",
              _cmd_infer, _fill("generators {generators}\nrelations {relations}"))
     q.add_argument("--series", type=_csv_ints, required=True, metavar="CSV")

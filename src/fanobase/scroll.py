@@ -418,7 +418,7 @@ def monomial_support(s: Scroll, c: DivisorClass) -> set:
 
 
 @checked
-def intersect(s: Scroll, classes) -> int:
+def intersect(s: Scroll, classes: tuple[DivisorClass, ...]) -> int:
     """Top intersection number of ``rank`` divisor classes.
 
     Expanding the product of (h_i H + f_i F) with H^n = delta H^(n-1) F
@@ -426,14 +426,9 @@ def intersect(s: Scroll, classes) -> int:
     Both are accumulated in one pass over the classes: after class i,
     ``prod_h`` is h_1 ... h_i and ``mixed`` the sum over j <= i of f_j
     times the other h's up to i, so mixed = mixed*h_i + prod_h*f_i with
-    the product before h_i.  Symmetric and multilinear in its arguments;
-    a list or tuple is read as given, any other iterable copied once.
+    the product before h_i.  Symmetric and multilinear in its arguments,
+    which are a list or a tuple of classes.
     """
-    if type(classes) is not list and type(classes) is not tuple:
-        try:
-            classes = list(classes)
-        except TypeError:
-            raise FanobaseError(f"divisor classes must be a collection, got {classes!r}") from None
     twists = s.twists
     if len(classes) != len(twists):
         raise ArityMismatch(
@@ -441,8 +436,6 @@ def intersect(s: Scroll, classes) -> int:
         )
     prod_h, mixed = 1, 0
     for c in classes:
-        if type(c) is not DivisorClass:
-            raise FanobaseError(f"intersect needs divisor classes, got {c!r}")
         mixed = mixed * c.h + prod_h * c.f
         prod_h *= c.h
     return sum(twists) * prod_h + mixed

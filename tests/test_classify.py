@@ -105,30 +105,19 @@ def test_out_of_family_cone_case_fails_at_branch_analysis():
 
 
 @pytest.mark.parametrize("m", [*range(3, 15), 20, 60, 400, 10**6])
-def test_cone_suite_builds_the_cover_once_and_counts_no_sections(monkeypatch, m):
+def test_cone_suite_builds_the_cover_once_and_counts_no_sections(probe, m):
     # the suite reads the spec off the branch report, and rigidity of B and
     # of the minimal section is decided in closed form, not by h0
-    calls = Counter()
-    build, count = cover.branch_for_taut_anticanonical, scroll.h0
-
-    def counting_build(s):
-        calls["branch_for_taut_anticanonical"] += 1
-        return build(s)
-
-    def counting_h0(s, c):
-        calls["h0"] += 1
-        return count(s, c)
-
-    monkeypatch.setattr(cover, "branch_for_taut_anticanonical", counting_build)
-    monkeypatch.setattr(scroll, "h0", counting_h0)
+    probe(cover, "branch_for_taut_anticanonical")
+    log = probe(scroll, "h0")
     checks = case_checks(cone_case(m))
-    assert calls == {"branch_for_taut_anticanonical": 1}
+    assert [name for name, _, _ in log] == ["branch_for_taut_anticanonical"]
     # past m = 12 only the verdict fails: the branch gets a fourfold point
     assert [c.name for c in checks if not c.passed] == ([] if m <= 12 else ["branch analysis verdict"])
     # the counters see the calls they guard: a non-rigid component reports its h0
     with pytest.raises(NotRigid):
         scroll.fixed_component_multiplicity(Scroll(4, 0), DivisorClass(1, 0), DivisorClass(4, -4))
-    assert calls["h0"] == 1
+    assert [name for name, _, _ in log[1:]] == ["h0"]
 
 
 def _subclasses(cls):
@@ -159,18 +148,14 @@ SHARED_CHECKS = {
     (12, 10, set()),
     (400, 11, {"branch analysis verdict"}),
 ], ids=["3", "12", "400"])
-def test_cone_path_builds_each_fixed_value_once(monkeypatch, m, check_results, fresh):
+def test_cone_path_builds_each_fixed_value_once(probe, m, check_results, fresh):
     at_seven = {c.name: c for c in case_checks(cone_case(7))}
-    built = Counter()
     for cls in _subclasses(Value):
         if "__init__" in vars(cls):
-            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
-                built[_cls.__name__] += 1
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
+            log = probe(cls, "__init__")
     checks = case_checks(cone_case(m))
     analyze_cover(m)
+    built = Counter(name.removesuffix(".__init__") for name, _, _ in log)
     assert built == Counter({**CONE_PATH_VALUES, "CheckResult": check_results})
     # each shared record is the one object that m = 7 also returns; every other record is new
     assert {c.name for c in checks if c is at_seven[c.name]} == SHARED_CHECKS - fresh

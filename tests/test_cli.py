@@ -36,11 +36,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_scroll_h0(capsys):
-    code, out, _ = run(capsys, "scroll", "h0", "--d", "5,1,0", "--class", "4,-8")
-    assert code == 0 and out == "43\n"
-
-
 def test_scroll_h0_negative_degree_class(capsys):
     code, out, _ = run(capsys, "scroll", "h0", "--d", "5,1,0", "--class=-1,3")
     assert code == 0 and out == "0\n"
@@ -59,13 +54,6 @@ def test_negative_first_entry_needs_the_equals_form(capsys):
     assert code == 0 and "--class=-1,3" in " ".join(out.split())
 
 
-def test_scroll_intersect(capsys):
-    code, out, _ = run(
-        capsys, "scroll", "intersect", "--d", "5,1,0", "--classes", "1,0;1,0;1,0"
-    )
-    assert code == 0 and out == "6\n"
-
-
 def test_scroll_support(capsys):
     code, out, _ = run(capsys, "scroll", "support", "--d", "13,9,0", "--class", "4,-40")
     assert code == 0
@@ -75,12 +63,6 @@ def test_scroll_support(capsys):
     assert code == 0 and out == ""
     code, out, _ = run(capsys, "scroll", "support", "--d", "5,1,0", "--class", "1,-6", "--json")
     assert code == 0 and json.loads(out) == {"support": []}
-
-
-def test_surface_split(capsys):
-    code, out, _ = run(capsys, "surface", "split", "--e", "4", "--class", "4,12")
-    assert code == 0
-    assert out.splitlines() == ["multiplicity 1", "residual 3,12"]
 
 
 def test_scroll_h0_long_euclid_chain(capsys):
@@ -170,13 +152,6 @@ def test_k3_chain(capsys):
     assert "base locus dimension: 1" in out
 
 
-def test_wps_hilbert(capsys):
-    code, out, _ = run(
-        capsys, "wps", "hilbert", "--weights", "1,1,1,2,3", "--degrees", "6", "--max", "6"
-    )
-    assert code == 0 and out == "1,3,7,14,25,41,63\n"
-
-
 def test_wps_hilbert_no_relations(capsys):
     code, out, _ = run(capsys, "wps", "hilbert", "--weights", "1", "--max", "3")
     assert code == 0 and out == "1,1,1,1\n"
@@ -192,12 +167,9 @@ def test_wps_hilbert_refuses_large_truncation(capsys):
     # the bound itself is expanded: C(n + 1, 1) in degree n
     code, out, _ = run(capsys, "wps", "hilbert", "--weights", "1,1", "--max", "100000")
     assert code == 0 and out.rstrip().split(",")[-1] == "100001"
-
-
-def test_wps_infer(capsys):
-    code, out, _ = run(capsys, "wps", "infer", "--series", "1,3,7,14,25,41,63")
-    assert code == 0
-    assert out.splitlines() == ["generators 1,1,1,2,3", "relations 6"]
+    # without --max it expands to the library's default truncation
+    code, out, _ = run(capsys, "wps", "hilbert", "--weights", "1,1")
+    assert code == 0 and out == ",".join(map(str, fanobase.hilbert_coeffs(fanobase.WeightedCI((1, 1))))) + "\n"
 
 
 def test_wps_infer_polynomial_ring(capsys):
@@ -320,19 +292,14 @@ def test_main_alone_prints():
 
 def test_readme_examples_run(capsys):
     commands = _readme_commands()
-    # the block was found and read whole, with both "->" comments
+    # the block was found and read whole, with its six "->" comments
     assert len(commands) >= 11
-    assert sum(expected is not None for _, expected in commands) >= 2
+    assert sum(expected is not None for _, expected in commands) >= 6
     for argv, expected in commands:
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == "", (argv, err)
         if expected is not None:
             assert out.splitlines() == expected, argv
-
-
-def test_blowup_degree(capsys):
-    code, out, _ = run(capsys, "blowup", "degree", "--ambient", "8", "--curve", "2", "--genus", "1")
-    assert code == 0 and out == "4\n"
 
 
 def test_verify_paper_passes(capsys):

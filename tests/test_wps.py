@@ -285,7 +285,7 @@ def test_infer_ring_matches_the_full_length_oracle():
     assert too_large >= 6
 
 
-def test_infer_ring_expands_within_the_stated_bound(monkeypatch):
+def test_infer_ring_expands_within_the_stated_bound(probe):
     # degree d expands the model found so far to degree d, and the closing
     # check the whole model to n: on n + 1 terms with a returned model of M
     # degrees, (n_max + 1) * (generators + relations) summed over the
@@ -295,19 +295,14 @@ def test_infer_ring_expands_within_the_stated_bound(monkeypatch):
              WeightedCI((1, 1, 1, 2, 3), (6,))]
     inputs = [hilbert_coeffs(x, 299) for x in table]
     inputs += [_random_series(rng, rng.randint(1, 300)) for _ in range(60)]
-    series, work = wps_module._series, []
-
-    def counting(gens, rels, n_max):
-        work.append((n_max + 1) * (len(gens) + len(rels)))
-        return series(gens, rels, n_max)
-
-    monkeypatch.setattr(wps_module, "_series", counting)
+    log = probe(wps_module, "_series")
     models = 0
     for seq in inputs:
-        work.clear()
+        log.clear()
         got = _outcome(infer_ring, seq)
         if isinstance(got[0], tuple):  # a model, not an exception
             n, m = len(seq) - 1, len(got[0]) + len(got[1])
-            assert 0 < sum(work) <= m * (n + 1) * (n + 4) // 2, (seq[:8], got)
+            work = sum((n_max + 1) * (len(gens) + len(rels)) for _, (gens, rels, n_max), _ in log)
+            assert 0 < work <= m * (n + 1) * (n + 4) // 2, (seq[:8], got)
             models += 1
     assert models >= 40
