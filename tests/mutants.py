@@ -25,8 +25,9 @@ construction (comments and layout are not kept).  ``tests/test_mutants.py`` chec
 every target module round-trips through ``ast.unparse``.
 
 Each mutant runs its function's test modules in a fresh temporary copy of
-the repository (src, tests, demos, README.md, pyproject.toml), never in
-the working tree, with no test deselected.  A suite may already be red
+the repository (src, tests, bench, demos, README.md, pyproject.toml), never
+in the working tree, with no test deselected; ``tests/conftest.py`` imports
+the rebinding of ``bench/tracer.py``.  A suite may already be red
 before any mutation (acceptance criterion 7 is), so a mutant is killed
 when its set of failing tests differs from that of the unmutated copy.
 That holds exactly when some test, or some test module's collection,
@@ -42,7 +43,9 @@ so does a run that leaves no readable record of its outcomes (pytest
 can hit the address-space cap while writing it) or ends with a pytest
 exit other than 0 or 1 (an internal error); the row names that end, as
 ``killed (pytest exit 3, no test outcome differs)``, and does not count
-it as a test.
+it as a test.  An unmutated run that times out, leaves no readable record
+or ends abnormally, as a failed collection does (pytest exit 2), stops the
+table with exit 2: every mutant would read like it and survive.
 
 Prints one table row per mutant and a summary; survivors named in
 ``EQUIVALENT`` are listed as equivalent with their reason.  Exits 1 when a
@@ -63,7 +66,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "demos", "README.md", "pyproject.toml")
 MEMORY_CAP = 2 * 1024**3  # bytes of address space per test run
 
 # function -> (module path, test modules run against each of its mutants)
@@ -320,8 +323,9 @@ def main(names: list) -> int:
     for name in names or TARGETS:
         path, modules = TARGETS[name]
         base, seconds = run_tests(modules)
-        if base == "timeout":
-            print(f"{name}: the unmutated run timed out", file=sys.stderr)
+        broken = "timed out" if base == "timeout" else ", ".join(sorted(n[1:-1] for n in base if n.startswith("<")))
+        if broken:
+            print(f"{name}: the unmutated run cannot be compared with ({broken})", file=sys.stderr)
             return 2
         cap = max(60.0, 10 * seconds)
         print(f"{name}: {len(base)} failing before mutation ({', '.join(sorted(base)) or 'none'}), "

@@ -22,6 +22,8 @@ from fanobase import (
     intersect,
     restrict_to_subscroll,
 )
+from fanobase import scroll as scroll_module
+from tracer import package_modules  # bench/tracer.py, on the path through conftest.py
 
 C = DivisorClass
 
@@ -185,3 +187,27 @@ def test_verdict_matches_the_closed_form_bound():
         assert report.verdict.passed == (m <= 12), m
     # at m = 3 the base is F(3, 0, -1), whose twists sort differently
     assert analyze_cover(3).fiber_mult == 1
+
+
+@pytest.fixture
+def bindings_kept():
+    """At teardown, after ``probe``'s, every package module and ``BranchReport`` holds the
+    attributes it held before ``probe`` was set up: none rebound, none left behind."""
+    owners = [*package_modules(), BranchReport]
+    before = [dict(vars(owner)) for owner in owners]
+    yield
+    assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_probe_sees_the_multiplicities_cover_calls(bindings_kept, probe):
+    # analyze_cover calls both multiplicities through cover's own bindings of the
+    # scroll kernels, so a probe of scroll's functions must rebind those too
+    log = probe(scroll_module, "fiber_multiplicity_at", "fixed_component_multiplicity")
+    probe(BranchReport, "__init__")
+    probe(scroll_module, "divmod")  # a builtin: patched in scroll alone, and deleted there again
+    for m in (3, 5, 12, 13, 400):
+        log.clear()
+        report = analyze_cover(m)
+        assert [(name, result) for name, _, result in log if name != "divmod"] == [
+            ("fixed_component_multiplicity", report.b_mult), ("fiber_multiplicity_at", report.fiber_mult),
+            ("BranchReport.__init__", None)], m

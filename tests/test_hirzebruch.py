@@ -17,6 +17,7 @@ from fanobase import (
     from_scroll,
     genus,
     h0,
+    intersect,
     intersect2,
     minimal_section,
     to_scroll,
@@ -158,6 +159,15 @@ def test_pairing_agrees_with_scroll_intersection():
                         s.delta() * h1 * h2 + h1 * f2 + h2 * f1
                     )  # expand (h1 H + f1 F)(h2 H + f2 F) on the surface
                     assert intersect2(from_scroll(s, c1), from_scroll(s, c2)) == raw
+    # the other way: on each Sigma_e the pairing is the scroll intersection of the
+    # normal forms on F(e, 0) that to_scroll gives
+    for e in range(6):
+        classes = [SurfaceClass(e, xi, fib) for xi in range(-3, 4) for fib in range(-6, 7)]
+        normal = [to_scroll(c) for c in classes]
+        assert {s for s, _ in normal} == {Scroll(e, 0)}
+        for c1, (s, n1) in zip(classes, normal):
+            for c2, (_, n2) in zip(classes, normal):
+                assert intersect2(c1, c2) == intersect(s, [n1, n2]), (c1, c2)
 
 
 def test_surface_class_needs_matching_index_for_sums():

@@ -139,3 +139,17 @@ def test_an_abnormal_end_is_named_in_the_row_and_not_counted_as_a_test():
     assert mutants._difference({"a.py::t", "b.py::u", "c.py::v"}, base) == "2 tests differ"
     assert (mutants._difference({"<no readable record, pytest exit -9>"}, set())
             == "no readable record, pytest exit -9, no test outcome differs")
+
+
+def test_a_baseline_that_cannot_be_compared_stops_the_table(monkeypatch, capsys):
+    # a copy whose conftest cannot load leaves no record, and a failed collection
+    # ends in pytest exit 2; every mutant would read the same and survive
+    for base in ("timeout", {"<no readable record, pytest exit 4>"},
+                 {"tests/test_cover.py", "<pytest exit 2>"}):
+        monkeypatch.setattr(mutants, "run_tests", lambda modules, *rest, base=base: (base, 1.0))
+        assert mutants.main(["DoubleCoverSpec.half"]) == 2, base
+        assert "cannot be compared" in capsys.readouterr().err
+    # a baseline red only in a test, as criterion 7 is, runs the table
+    monkeypatch.setattr(mutants, "run_tests", lambda modules, *rest: ({"tests/test_acceptance.py::t"}, 1.0))
+    monkeypatch.setattr(mutants, "mutants", lambda name: [])
+    assert mutants.main(["DoubleCoverSpec.half"]) == 0

@@ -553,10 +553,10 @@ def test_rank_three_rests_take_the_floor_sums(probe):
     # rank-3 rest is summed in closed form: one range sum per exponent plus the class
     # asked; a rest walked down to rank 2 would cost one per pair of exponents
     log = probe(scroll_module, "_range_sum")
-    for k, most in ((2, 41), (3, 401)):
+    for k, sums in ((2, 41), (3, 401)):
         log.clear()
         h0(Scroll(5, 3, 1, 0), C(10**k, -2 * 10**k))
-        assert len(log) <= most, (k, len(log))
+        assert len(log) == sums, (k, len(log))
 
 
 def test_walk_bound_is_checked_once_on_the_class_asked(probe):
@@ -778,6 +778,12 @@ def test_canonical_class_values():
     assert canonical_class(Scroll(4, 0)) == C(-2, 2)
     assert canonical_class(Scroll(1, 1)) == C(-2, 0)
     assert canonical_class(Scroll(5, 1, 0)) == C(-3, 4)
+    # second route, adjunction: the sub-scroll F(d1, ..., d_{n-1}) lies in |O(1) - d_n F|,
+    # and K_F + (1, -d_n) restricts to its canonical class
+    for d in product(range(-3, 6), repeat=3):
+        s = Scroll(d)
+        *rest, dn = s.twists
+        assert canonical_class(s) + C(1, -dn) == canonical_class(Scroll(rest)), d
 
 
 def test_canonical_class_pins_half_branch():
@@ -1017,5 +1023,11 @@ def test_minimal_degree_examples():
     assert minimal_degree_data(Scroll(5, 1, 0)) == (6, 8)
     assert minimal_degree_data(Scroll(1, 1)) == (2, 3)
     assert minimal_degree_data(Scroll(4, 0)) == (4, 5)
+    # second route through the sections: with every twist >= 0 the image spans
+    # P^(g - 1), g = h0(O(1)), and its degree is the codimension g - 1 - (rank - 1) plus 1
+    for d in product(range(7), repeat=3):
+        s = Scroll(d)
+        g = h0(s, C(1, 0))
+        assert minimal_degree_data(s) == (g - s.rank, g - 1), d
     with pytest.raises(NegativeTwist):
         minimal_degree_data(Scroll(3, 0, -1))
