@@ -25,9 +25,9 @@ construction (comments and layout are not kept).  ``tests/test_mutants.py`` chec
 every target module round-trips through ``ast.unparse``.
 
 Each mutant runs its function's test modules in a fresh temporary copy of
-the repository (src, tests, bench, demos, README.md, pyproject.toml), never
-in the working tree, with no test deselected; ``tests/conftest.py`` imports
-the rebinding of ``bench/tracer.py``.  A suite may already be red
+the repository, the whole tree less its dot entries (``.git``,
+``.pytest_cache``) and ``__pycache__`` directories, never in the working
+tree, with no test deselected.  A suite may already be red
 before any mutation (acceptance criterion 7 is), so a mutant is killed
 when its set of failing tests differs from that of the unmutated copy.
 That holds exactly when some test, or some test module's collection,
@@ -38,13 +38,19 @@ the session at the first that differs, which the table then names.  A
 run that differs in no test it ran is compared whole, as before.
 Each run has a time cap, ten times the unmutated run and at least 60 s,
 and an address-space cap; on timeout the run's whole process group is
-killed, so no process is left behind.  A timeout counts as killed, and
-so does a run that leaves no readable record of its outcomes (pytest
-can hit the address-space cap while writing it) or ends with a pytest
-exit other than 0 or 1 (an internal error); the row names that end, as
-``killed (pytest exit 3, no test outcome differs)``, and does not count
-it as a test.  An unmutated run that times out, leaves no readable record
-or ends abnormally, as a failed collection does (pytest exit 2), stops the
+killed, so no process is left behind.
+
+Each run ends in one outcome ``(failing, end, seconds)``: ``failing`` is
+the set of failing node ids, or None for a run cut short by the time cap
+or at the first differing test, or that leaves no readable record of its
+outcomes; ``end`` is None for a whole run with
+pytest exit 0 or 1, else the words its row prints: ``timeout``, ``first
+at NODE``, ``pytest exit N`` (an internal error) or ``no readable record,
+pytest exit N`` (pytest can hit the address-space cap while writing it).
+A mutant is killed when its run has an ``end`` or a failing set other than
+the unmutated run's; the row names the end, as ``killed (pytest exit 3,
+no test outcome differs)``, and does not count it as a test.  An unmutated
+run with an ``end``, as a failed collection has (pytest exit 2), stops the
 table with exit 2: every mutant would read like it and survive.
 
 Prints one table row per mutant and a summary; survivors named in
@@ -66,7 +72,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "bench", "demos", "README.md", "pyproject.toml")
+IGNORED = shutil.ignore_patterns(".*", "__pycache__")  # what the copy of ROOT leaves out
 MEMORY_CAP = 2 * 1024**3  # bytes of address space per test run
 
 # function -> (module path, test modules run against each of its mutants)
@@ -253,20 +259,14 @@ def _limit_memory():
 
 
 def run_tests(modules: tuple, mutated=None, cap=None, baseline=None) -> tuple:
-    """(outcome, seconds) for ``modules`` in a fresh copy, ``mutated`` = (path, text).
+    """(failing, end, seconds) for ``modules`` in a fresh copy, ``mutated`` = (path, text).
 
-    The outcome is "timeout", the set of failing node ids, or, given the
-    unmutated run's set as ``baseline``, the one-element tuple of the
-    first node whose outcome differs from it, where the run stopped.
+    Given the unmutated run's failing set as ``baseline``, the run stops at
+    the first node whose outcome differs from it.
     """
     with tempfile.TemporaryDirectory(prefix="fanobase-mutant-") as tmp:
         tmp = Path(tmp)
-        for name in COPIED:
-            src = ROOT / name
-            if src.is_dir():
-                shutil.copytree(src, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(src, tmp / name)
+        shutil.copytree(ROOT, tmp, ignore=IGNORED, dirs_exist_ok=True)
         if mutated:
             (tmp / mutated[0]).write_text(mutated[1])
         record = tmp / "outcomes.json"
@@ -283,7 +283,7 @@ def run_tests(modules: tuple, mutated=None, cap=None, baseline=None) -> tuple:
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-            return "timeout", time.monotonic() - start
+            return None, "timeout", time.monotonic() - start
         finally:
             try:  # the run's own children (CLI and demo processes) go with it
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -293,25 +293,23 @@ def run_tests(modules: tuple, mutated=None, cap=None, baseline=None) -> tuple:
         try:
             outcomes = json.loads(record.read_text())
         except (FileNotFoundError, ValueError):  # none, or cut short by a MemoryError under the cap
-            return {f"<no readable record, pytest exit {proc.returncode}>"}, seconds
+            return None, f"no readable record, pytest exit {proc.returncode}", seconds
         if outcomes["first_difference"] is not None:
-            return (outcomes["first_difference"],), seconds
-        failing = set(outcomes["failing"])
-        if proc.returncode not in (0, 1):
-            failing.add(f"<pytest exit {proc.returncode}>")
-        return failing, seconds
+            return None, f"first at {outcomes['first_difference']}", seconds
+        end = None if proc.returncode in (0, 1) else f"pytest exit {proc.returncode}"
+        return set(outcomes["failing"]), end, seconds
 
 
-def _difference(failing: set, base: set) -> str:
-    """How a whole run's failing set differs from the unmutated one's, for its table row.
+def _difference(failing, end, base: set) -> str | None:
+    """Why a run kills its mutant, as its table row says it, or None when it does not.
 
-    A marker ``<...>`` of an abnormal end (a pytest exit other than 0 or
-    1, or no readable record) is named, and not counted as a test.
+    The run's ``end`` is named and not counted as a test; a whole run's
+    failing set is counted against the unmutated one's.
     """
-    markers = sorted(name[1:-1] for name in failing ^ base if name.startswith("<"))
-    tests = sum(not name.startswith("<") for name in failing ^ base)
-    counted = f"{tests} tests differ" if tests else "no test outcome differs"
-    return ", ".join(markers + [counted])
+    if failing is None or failing == base and end is None:
+        return end
+    counted = f"{len(failing ^ base)} tests differ" if failing != base else "no test outcome differs"
+    return ", ".join(filter(None, (end, counted)))
 
 
 def main(names: list) -> int:
@@ -322,22 +320,18 @@ def main(names: list) -> int:
     results, unexplained = [], []
     for name in names or TARGETS:
         path, modules = TARGETS[name]
-        base, seconds = run_tests(modules)
-        broken = "timed out" if base == "timeout" else ", ".join(sorted(n[1:-1] for n in base if n.startswith("<")))
-        if broken:
-            print(f"{name}: the unmutated run cannot be compared with ({broken})", file=sys.stderr)
+        base, end, seconds = run_tests(modules)
+        if end:
+            print(f"{name}: the unmutated run cannot be compared with ({end})", file=sys.stderr)
             return 2
         cap = max(60.0, 10 * seconds)
         print(f"{name}: {len(base)} failing before mutation ({', '.join(sorted(base)) or 'none'}), "
               f"{seconds:.1f} s, cap {cap:.0f} s", flush=True)
         for line, label, text in mutants(name):
-            failing, seconds = run_tests(modules, (path, text), cap, base)
-            if failing == "timeout":
-                result = "killed (timeout)"
-            elif type(failing) is tuple:
-                result = f"killed (first at {failing[0]})"
-            elif failing != base:
-                result = f"killed ({_difference(failing, base)})"
+            failing, end, seconds = run_tests(modules, (path, text), cap, base)
+            killed = _difference(failing, end, base)
+            if killed:
+                result = f"killed ({killed})"
             elif (name, line, label) in EQUIVALENT:
                 result = "equivalent: " + EQUIVALENT[name, line, label]
             else:

@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, report determinism."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -472,23 +473,22 @@ def test_arity_domain_error(capsys):
     assert "error:" in err
 
 
-# every leaf of the command tree: (command words, (option, kind, required) per option)
-LEAVES = (
-    (("verify-paper",), (("--max-degree", "int", False),)),
-    (("scroll", "h0"), (("--d", "csv", True), ("--class", "pair", True))),
-    (("scroll", "support"), (("--d", "csv", True), ("--class", "pair", True))),
-    (("scroll", "intersect"), (("--d", "csv", True), ("--class", "pair", False),
-                               ("--classes", "pairs", False))),
-    (("surface", "split"), (("--e", "int", True), ("--class", "pair", True))),
-    (("k3", "chain"), (("--m", "int", True),)),
-    (("wps", "hilbert"), (("--weights", "csv", True), ("--degrees", "csv", False),
-                          ("--max", "int", False))),
-    (("wps", "infer"), (("--series", "csv", True),)),
-    (("cover", "analyze"), (("--m", "int", True),)),
-    (("classify", "enumerate"), ()),
-    (("blowup", "degree"), (("--ambient", "int", True), ("--curve", "int", True),
-                            ("--genus", "int", True))),
-)
+# the kind of value drawn for each type callable of the parser's options
+KINDS = {int: "int", cli._csv_ints: "csv", cli._divisor_class: "pair", cli._int_pair: "pair",
+         cli._class_list: "pairs"}
+
+
+def _leaves(parser, words=()) -> tuple:
+    """(command words, (option, kind, required) per typed option) per leaf of ``parser``, in order.
+
+    An option whose type is not in ``KINDS`` raises ``KeyError``: a new
+    kind of value needs its own draw.
+    """
+    commands = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not commands:
+        return ((words, tuple((action.option_strings[0], KINDS[action.type], action.required)
+                              for action in parser._actions if action.type is not None)),)
+    return tuple(leaf for name, sub in commands[0].choices.items() for leaf in _leaves(sub, (*words, name)))
 
 
 def _draw_int(rng) -> int:
@@ -512,8 +512,8 @@ def _draw_value(rng, kind: str) -> str:
     return ";".join(_draw_value(rng, "pair") for _ in range(rng.choice((0, 1, 2, 3, 40))))
 
 
-def _draw_argv(rng) -> list:
-    words, options = rng.choice(LEAVES)
+def _draw_argv(rng, leaves) -> list:
+    words, options = rng.choice(leaves)
     argv = list(words)
     for option, kind, required in options:
         if required or rng.random() < 0.5:
@@ -528,10 +528,11 @@ def _draw_argv(rng) -> list:
 def test_exit_code_contract_on_drawn_command_lines(capsys):
     # north star 3's rule as a property: whatever the command line, the exit
     # code is 0, 1, 2 or 3, no traceback reaches stderr, and the answer is prompt
+    leaves = _leaves(build_parser())
     rng = random.Random(20261019)
-    drawn = [_draw_argv(rng) for _ in range(400)]
+    drawn = [_draw_argv(rng, leaves) for _ in range(400)]
     assert {tuple(argv[:2]) if argv[0] != "verify-paper" else ("verify-paper",) for argv in drawn} == {
-        words for words, _ in LEAVES}
+        words for words, _ in leaves}
     codes = set()
     for argv in drawn:
         start = time.perf_counter()

@@ -10,6 +10,7 @@ table run, and so is the outcome plugin each run loads, on stand-in reports.
 import ast
 import copy
 import json
+import os
 from functools import cache
 from types import SimpleNamespace
 
@@ -133,23 +134,35 @@ def test_outcome_plugin_records_without_a_baseline(tmp_path):
 
 def test_an_abnormal_end_is_named_in_the_row_and_not_counted_as_a_test():
     # a pytest internal error that reports no test reads as its exit, not as "1 tests differ"
-    assert mutants._difference({"<pytest exit 3>"}, set()) == "pytest exit 3, no test outcome differs"
+    assert mutants._difference(set(), "pytest exit 3", set()) == "pytest exit 3, no test outcome differs"
     base = {"a.py::t"}
-    assert mutants._difference({"<pytest exit 3>"}, base) == "pytest exit 3, 1 tests differ"
-    assert mutants._difference({"a.py::t", "b.py::u", "c.py::v"}, base) == "2 tests differ"
-    assert (mutants._difference({"<no readable record, pytest exit -9>"}, set())
-            == "no readable record, pytest exit -9, no test outcome differs")
+    assert mutants._difference(set(), "pytest exit 3", base) == "pytest exit 3, 1 tests differ"
+    assert mutants._difference({"a.py::t", "b.py::u", "c.py::v"}, None, base) == "2 tests differ"
+    assert (mutants._difference(None, "no readable record, pytest exit -9", base)
+            == "no readable record, pytest exit -9")
+    assert mutants._difference(None, "first at b.py::u", base) == "first at b.py::u"
+    # a whole run that fails as the unmutated one does, with pytest exit 1, does not kill
+    assert mutants._difference({"a.py::t"}, None, base) is None
 
 
 def test_a_baseline_that_cannot_be_compared_stops_the_table(monkeypatch, capsys):
     # a copy whose conftest cannot load leaves no record, and a failed collection
     # ends in pytest exit 2; every mutant would read the same and survive
-    for base in ("timeout", {"<no readable record, pytest exit 4>"},
-                 {"tests/test_cover.py", "<pytest exit 2>"}):
-        monkeypatch.setattr(mutants, "run_tests", lambda modules, *rest, base=base: (base, 1.0))
+    for base in ((None, "timeout"), (None, "no readable record, pytest exit 4"),
+                 ({"tests/test_cover.py"}, "pytest exit 2")):
+        monkeypatch.setattr(mutants, "run_tests", lambda modules, *rest, base=base: (*base, 1.0))
         assert mutants.main(["DoubleCoverSpec.half"]) == 2, base
-        assert "cannot be compared" in capsys.readouterr().err
+        assert f"cannot be compared with ({base[1]})" in capsys.readouterr().err
     # a baseline red only in a test, as criterion 7 is, runs the table
-    monkeypatch.setattr(mutants, "run_tests", lambda modules, *rest: ({"tests/test_acceptance.py::t"}, 1.0))
+    monkeypatch.setattr(mutants, "run_tests", lambda modules, *rest: ({"tests/test_acceptance.py::t"}, None, 1.0))
     monkeypatch.setattr(mutants, "mutants", lambda name: [])
     assert mutants.main(["DoubleCoverSpec.half"]) == 0
+
+
+def test_the_copy_is_the_tree_less_dot_entries_and_caches():
+    # a run reads more than src/ and tests/: conftest.py imports from bench/, and
+    # test_cli.py runs README.md's command lines and the demos
+    names = {*os.listdir(mutants.ROOT), ".git", ".pytest_cache", "__pycache__"}
+    kept = names - mutants.IGNORED(str(mutants.ROOT), names)
+    assert not {".git", ".pytest_cache", "__pycache__"} & kept
+    assert {"src", "tests", "bench", "demos", "README.md", "pyproject.toml"} <= kept

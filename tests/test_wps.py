@@ -163,6 +163,12 @@ def test_anticanonical_degree_examples():
     assert value == Fraction(9 ** 3, 10) and not integral
     # (-K)^3 = 256^3 / 64^4 = 1: the least degree in the Gorenstein Fano range
     assert anticanonical_degree(WeightedCI((64, 64, 64, 64))) == (Fraction(1), True)
+    # second route on the table models: h0(-K) = (-K)^3 / 2 + 3 on a Gorenstein Fano threefold,
+    # read off the Hilbert series at the amplitude
+    for x in (WeightedCI((1, 1, 1, 1, 2, 3), (2, 6)), WeightedCI((1, 1, 1, 1, 3), (6,)),
+              WeightedCI((1, 1, 1, 2, 3), (6,))):
+        a = x.amplitude()
+        assert anticanonical_degree(x) == (2 * (hilbert_coeffs(x, a)[a] - 3), True), x
 
 
 def test_rr_chi_examples():
