@@ -14,13 +14,12 @@ import sys
 
 from . import __version__
 from .errors import FanobaseError
-from .scroll import DivisorClass, Scroll, h0, intersect, monomial_support, support_size
 
 # Each _cmd_* returns one record, a dict of ints, strings and lists, that main
 # alone prints: as JSON, or through the renderer its leaf parser sets.  A _cmd_*
 # imports the modules it uses, so a process loads only its command's modules;
 # report and json load only for --json (and report for verify-paper, which
-# builds one).  scroll stays here for the argparse types.
+# builds one).
 
 # most exponents `scroll support` prints, a monomial counted as max(rank, 3) of
 # them: ranks 2 and 3 print up to 10**6 monomials, one line each
@@ -44,10 +43,11 @@ def _csv_ints(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _divisor_class(text: str) -> DivisorClass:
+def _divisor_class(text: str):
     values = _csv_ints(text)
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"a class is a pair h,f; got {text!r}")
+    from .scroll import DivisorClass
     return DivisorClass(*values)
 
 
@@ -99,10 +99,12 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_h0(args) -> dict:
+    from .scroll import Scroll, h0
     return {"h0": h0(Scroll(args.d), args.klass)}
 
 
 def _cmd_support(args) -> dict:
+    from .scroll import Scroll, monomial_support, support_size
     scroll = Scroll(args.d)
     size, width = support_size(scroll, args.klass), max(scroll.rank, 3)
     if size * width > SUPPORT_LIMIT:
@@ -118,6 +120,7 @@ def _support_text(data: dict) -> str:
 
 
 def _cmd_intersect(args) -> dict:
+    from .scroll import Scroll, intersect
     classes = args.classes if args.classes else []
     if args.klass is not None:
         classes = [args.klass] + classes

@@ -468,7 +468,8 @@ def fixed_component_multiplicity(s: Scroll, comp: DivisorClass, sys: DivisorClas
     comp is x_1^k, and multiplying by it maps H^0(sys - comp) onto the
     span of the support monomials with e_1 >= k, so comp is fixed mu
     times exactly when every support monomial has e_1 >= mu*k: mu is the
-    least x_1-exponent over the support, floor-divided by k.
+    least x_1-exponent over the support, floor-divided by k: one
+    ``_exponent_range`` call, whatever the size of the numbers.
     """
     k, d = comp.h, s.twists
     if k < 1 or comp.f != -k * d[0] or d[0] == d[1]:
@@ -492,7 +493,8 @@ def fiber_multiplicity_at(s: Scroll, c: DivisorClass, i: int):
     The point where every fiber coordinate except x_i vanishes.  A
     monomial x^e vanishes there to order h - e_i, so the multiplicity
     is h minus the greatest x_i-exponent over the support, INFINITE
-    when the support is empty.  Indices are 1-based, matching x_1 ... x_n.
+    when the support is empty, read from one ``_exponent_range`` call.
+    Indices are 1-based, matching x_1 ... x_n.
     """
     d = s.twists
     if not 1 <= i <= len(d):

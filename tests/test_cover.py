@@ -205,9 +205,12 @@ def test_probe_sees_the_multiplicities_cover_calls(bindings_kept, probe):
     log = probe(scroll_module, "fiber_multiplicity_at", "fixed_component_multiplicity")
     probe(BranchReport, "__init__")
     probe(scroll_module, "divmod")  # a builtin: patched in scroll alone, and deleted there again
-    for m in (3, 5, 12, 13, 400):
+    probe(scroll_module, "_exponent_range")
+    for m in (3, 5, 12, 13, 400, 10**12):
         log.clear()
         report = analyze_cover(m)
-        assert [(name, result) for name, _, result in log if name != "divmod"] == [
+        assert [(name, result) for name, _, result in log if name not in {"divmod", "_exponent_range"}] == [
             ("fixed_component_multiplicity", report.b_mult), ("fiber_multiplicity_at", report.fiber_mult),
             ("BranchReport.__init__", None)], m
+        # one exponent range per multiplicity: the cost does not grow with m
+        assert [name for name, _, _ in log].count("_exponent_range") == 2, m

@@ -181,6 +181,23 @@ def test_rr_chi_examples():
         rr_chi(3, 1)
 
 
+def _times_binomials(poly, exponents):
+    """Integer coefficients of poly(t) * prod(1 - t^e for e in exponents), trailing zeros dropped."""
+    out = list(poly)
+    for e in exponents:
+        out += [0] * e
+        for i in range(len(out) - 1, e - 1, -1):
+            out[i] -= out[i - e]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _numerator(values):
+    """A with sum p(k) t^k = A / (1 - t)^(r+1) for p of degree r, read off p(0..r) by r + 1 differences."""
+    return _times_binomials(values, [1] * len(values))[:len(values)]
+
+
 def test_rr_matches_hilbert_for_both_threefolds():
     quadric_sextic = hilbert_coeffs(WeightedCI((1, 1, 1, 1, 2, 3), (2, 6)), 12)
     for k in range(13):
@@ -190,6 +207,14 @@ def test_rr_matches_hilbert_for_both_threefolds():
     sextic = hilbert_coeffs(WeightedCI((1, 1, 1, 2, 3), (6,)), 24)
     for k in range(13):
         assert sextic[2 * k] == rr_chi(8, k)
+    # in every degree: series N/D, N = prod(1 - t^e) over relations, D over weights;
+    # the two quadric-sextic presentations agree exactly when N1 * D2 = N2 * D1
+    n1, d1, n2, d2 = (2, 6), (1, 1, 1, 1, 2, 3), (6,), (1, 1, 1, 1, 3)
+    assert _times_binomials([1], n1 + d2) == _times_binomials([1], n2 + d1)
+    # and the cubic rr_chi(2, k) is their series exactly when A * D2 = N2 * (1 - t)^4
+    a = _numerator([rr_chi(2, k) for k in range(4)])
+    assert a == [1, 0, 0, 1]  # 1 + t^3
+    assert _times_binomials(a, d2) == _times_binomials([1], n2 + (1, 1, 1, 1))
 
 
 def test_infer_ring_examples():
@@ -255,6 +280,10 @@ def test_sextic_series_is_the_riemann_roch_polynomial():
     # case ii-a: X_6 in P(1,1,1,2,3) has degree 8, and its even degrees are h0(-kK)
     coeffs = hilbert_coeffs(WeightedCI((1, 1, 1, 2, 3), (6,)), 60)
     assert [coeffs[2 * k] for k in range(31)] == [rr_chi(8, k) for k in range(31)]
+    # in every degree k: 1 + k(8 + 3k + k^2)/6 is the series N/D exactly when A * D = N * (1 - t)^4
+    a = _numerator([1 + k * (8 + 3 * k + k * k) // 6 for k in range(4)])
+    assert a == [1, -1, 1, 0]  # 1 - t + t^2
+    assert _times_binomials(a, (1, 1, 1, 2, 3)) == _times_binomials([1], (6, 1, 1, 1, 1))
 
 
 def _random_series(rng, n_max):
