@@ -1,16 +1,22 @@
-"""The ``probe`` fixture: one call log per test for the kernels the call-count tests bound.
+"""``probe``, one call log per test for the kernels the call-count tests bound, and ``fresh``,
+the one launcher of every child interpreter the tests start.
 
 ``probe`` rebinds a module function by identity through ``rebind`` of ``bench/tracer.py``, as
 the benchmark's tracer does, so it sees a call made through any package module's binding.
+``fresh`` skips ``site`` (``-S``): no fanobase behaviour depends on it, and it costs each start
+20-30 ms and loads whatever ``.pth`` files the installation carries.
 """
 
 import builtins
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
 
 from tracer import rebind, restore  # noqa: E402
 
@@ -45,3 +51,22 @@ def probe(monkeypatch):
 
     yield wrap
     restore(undo)
+
+
+@pytest.fixture
+def fresh():
+    """``fresh(*args, **env)`` starts ``sys.executable -S *args``, with ``src`` on ``PYTHONPATH``
+    and the variables ``env`` adds, and returns its ``Popen``, stdout and stderr piped as text.
+    A child still running at teardown, as after a failed assertion, is killed."""
+    started = []
+
+    def start(*args, **env):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
+        started.append(subprocess.Popen([sys.executable, "-S", *args], stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, text=True, env=env))
+        return started[-1]
+
+    yield start
+    for proc in started:
+        with proc:
+            proc.kill()

@@ -36,9 +36,11 @@ small pytest plugin, written into the copy with the unmutated run's
 failing set, compares each test as its teardown is reported and stops
 the session at the first that differs, which the table then names.  A
 run that differs in no test it ran is compared whole, as before.
-Each run has a time cap, ten times the unmutated run and at least 60 s,
-and an address-space cap; on timeout the run's whole process group is
-killed, so no process is left behind.
+Each run has a time cap, three times the unmutated run, and an
+address-space cap; on timeout the run's whole process group is killed,
+so no process is left behind.  A run that the cap cuts short counts as
+killed, and a surviving or equivalent mutant runs the suite in about
+the unmutated run's time, so a cap near it only ends slow runs sooner.
 
 Each run ends in one outcome ``(failing, end, seconds)``: ``failing`` is
 the set of failing node ids, or None for a run cut short by the time cap
@@ -324,7 +326,7 @@ def main(names: list) -> int:
         if end:
             print(f"{name}: the unmutated run cannot be compared with ({end})", file=sys.stderr)
             return 2
-        cap = max(60.0, 10 * seconds)
+        cap = 3 * seconds
         print(f"{name}: {len(base)} failing before mutation ({', '.join(sorted(base)) or 'none'}), "
               f"{seconds:.1f} s, cap {cap:.0f} s", flush=True)
         for line, label, text in mutants(name):

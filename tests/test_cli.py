@@ -1,17 +1,20 @@
-"""Command line surface: outputs, exit codes, report determinism."""
+"""Command line surface: outputs, exit codes, report determinism.
+
+Most commands run in this process through ``main``; a test that needs a
+process of its own (a time from process start, a closed pipe) starts it
+through the ``fresh`` fixture of ``conftest.py``, and the scan of
+``cli.py`` reads its tree from ``test_source_rules.SOURCES``.
+"""
 
 import argparse
 import ast
 import hashlib
 import json
-import os
 import random
 import re
 import runpy
 import shlex
 import signal
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -22,11 +25,12 @@ from fanobase import build_report
 from fanobase import cli
 from fanobase.cli import build_parser, main
 from fanobase.report import _jsonable, to_json
+from test_source_rules import SOURCES
 
-# verify-paper outputs pinned byte for byte (sha256 of stdout, newline included)
+# verify-paper --json pinned byte for byte (sha256 of stdout, newline included);
+# the text is pinned in GOLDEN_SHA256
 VERIFY_JSON_SHA256 = "7368d7b6fe338795b483d34d815e48dc7acdb4f66bec22715b4e71126e9ea87a"
 VERIFY_JSON_BYTES = 41493
-VERIFY_TEXT_SHA256 = "e3ca4a7ceffe57007628663e8914c9423caf0413e392bb595fa5a92a326e148d"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 README = DEMOS.parent / "README.md"
 
@@ -77,28 +81,24 @@ def test_scroll_h0_long_euclid_chain(capsys):
     assert out == f"{fanobase.h0(fanobase.Scroll(b, a, 0), fanobase.DivisorClass(h, -(h * a // 2)))}\n"
 
 
-def test_scroll_h0_huge_rank_three_class_in_a_fresh_process():
+def test_scroll_h0_huge_rank_three_class_in_a_fresh_process(fresh):
     # a band of 1.5 * 10**8 exponents, summed by floor sums: logarithmic in the numbers
-    env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
-    argv = ["scroll", "h0", "--d", "5,1,0", "--class", "1000000000,-2000000000"]
-    proc = subprocess.run([sys.executable, "-m", "fanobase.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 0 and proc.stderr == ""
+    proc = fresh("-m", "fanobase.cli", "scroll", "h0", "--d", "5,1,0", "--class", "1000000000,-2000000000")
+    out, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0 and err == ""
     expected = fanobase.h0(fanobase.Scroll(5, 1, 0), fanobase.DivisorClass(10**9, -2 * 10**9))
-    assert proc.stdout == f"{expected}\n"
+    assert out == f"{expected}\n"
 
 
 @pytest.mark.parametrize("op", ["h0", "support"])
-def test_wide_rank_four_walk_is_refused_in_a_fresh_process(op):
+def test_wide_rank_four_walk_is_refused_in_a_fresh_process(fresh, op):
     # a band of 400 000 exponents at rank 4: refused before the walk, from process start
-    env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
-    argv = ["scroll", op, "--d", "5,3,1,0", "--class", "1000000,-2000000"]
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "fanobase.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=10)
+    proc = fresh("-m", "fanobase.cli", "scroll", op, "--d", "5,3,1,0", "--class", "1000000,-2000000")
+    out, err = proc.communicate(timeout=10)
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert "400000 rank-3 closed forms" in proc.stderr
+    assert proc.returncode == 3 and out == ""
+    assert "400000 rank-3 closed forms" in err
     assert elapsed < 1, elapsed
 
 
@@ -278,10 +278,10 @@ def test_text_and_json_render_one_record(capsys, argv):
 
 def test_main_alone_prints():
     # one output path: no handler or renderer writes to stdout, and --json is declared once
-    source = Path(cli.__file__).read_text()
+    source, tree = SOURCES["cli.py"]
     printers = [
         function.name
-        for function in ast.parse(source).body if isinstance(function, ast.FunctionDef)
+        for function in tree.body if isinstance(function, ast.FunctionDef)
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
         and not any(keyword.arg == "file" for keyword in node.keywords)
@@ -341,7 +341,7 @@ def test_verify_paper_outputs_pinned(capsys):
     assert len(out.encode()) == VERIFY_JSON_BYTES
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
     _, text, _ = run(capsys, "verify-paper")
-    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_TEXT_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256["verify-paper"]
 
 
 # sha256 of stdout (newline included) of every output below, pinned from the
@@ -546,42 +546,24 @@ def test_exit_code_contract_on_drawn_command_lines(capsys):
     assert {0, 2, 3} <= codes
 
 
-def test_closed_pipe_exits_quietly():
-    # about 400 kB of support lines: far more than a pipe holds, so the
-    # writer is still blocked on the pipe when the reader goes away
-    env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
-    argv = ["scroll", "support", "--d", "9,7,4,2,0", "--class", "24,-30"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fanobase.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    assert proc.stdout.readline() == b"24,0,0,0,0\n"
+def _close_after_one_line(proc) -> tuple:
+    """(first line, stderr, exit status) of ``proc`` when its reader closes stdout after one line."""
+    line = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    return line, err, proc.wait(timeout=60)
+
+
+def test_closed_pipe_exits_quietly(fresh):
+    # about 400 kB of support lines: far more than a pipe holds, so the
+    # writer is still blocked on the pipe when the reader goes away
+    proc = fresh("-m", "fanobase.cli", "scroll", "support", "--d", "9,7,4,2,0", "--class", "24,-30")
+    assert _close_after_one_line(proc) == ("24,0,0,0,0\n", "", 141)
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
-def test_demo_closed_pipe_exits_quietly(demo):
+def test_demo_closed_pipe_exits_quietly(fresh, demo):
     # unbuffered, so every print is a write that can meet the closed pipe
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent),
-        PYTHONUNBUFFERED="1",
-    )
-    proc = subprocess.Popen(
-        [sys.executable, str(DEMOS / demo)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) in (0, -signal.SIGPIPE)
-    assert err == b""
+    line, err, code = _close_after_one_line(fresh(str(DEMOS / demo), PYTHONUNBUFFERED="1"))
+    assert line and err == "" and code in (0, -signal.SIGPIPE)

@@ -11,26 +11,24 @@ import ast
 import copy
 import json
 import os
-from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import mutants
+from test_source_rules import SOURCES
 
-
-@cache
-def _trees():
-    return {path: ast.parse((mutants.ROOT / path).read_text()) for path, _ in mutants.TARGETS.values()}
+# module path in TARGETS -> its tree, as parsed once for every test
+TREES = {path: SOURCES[Path(path).name][1] for path, _ in mutants.TARGETS.values()}
 
 
 def test_target_modules_round_trip_through_unparse():
-    for path, tree in _trees().items():
+    for path, tree in TREES.items():
         assert ast.dump(ast.parse(ast.unparse(tree))) == ast.dump(tree), path
 
 
 def test_every_target_is_a_function_with_sites():
-    trees = _trees()
     for name, (path, _) in mutants.TARGETS.items():
-        fn = mutants._function(trees[path], name)
+        fn = mutants._function(TREES[path], name)
         assert isinstance(fn, ast.FunctionDef) and mutants._sites(fn), name
 
 
@@ -49,10 +47,9 @@ def _edits(old, new) -> list:
 
 
 def test_each_mutant_is_one_edit_of_its_module():
-    trees = _trees()
     for name in ("DoubleCoverSpec._validate", "DoubleCoverSpec.half", "WeightedCI._validate", "_constructor",
                  "_compiled"):
-        original = trees[mutants.TARGETS[name][0]]
+        original = TREES[mutants.TARGETS[name][0]]
         for line, label, text in mutants.mutants(name):
             edits = _edits(original, ast.parse(text))
             assert len(edits) == 1, (name, line, label)
@@ -63,10 +60,9 @@ def test_every_equivalent_entry_names_a_mutant():
     # a line or label gone stale, as when a docstring above the site shrinks, leaves
     # the entry unused and its mutant listed as a survivor; only the target's top-level
     # node is copied per edit, so the check stays cheap
-    trees = _trees()
     for name in {name for name, _, _ in mutants.EQUIVALENT}:
         top = name.split(".")[0]
-        node = next(n for n in trees[mutants.TARGETS[name][0]].body if getattr(n, "name", None) == top)
+        node = next(n for n in TREES[mutants.TARGETS[name][0]].body if getattr(n, "name", None) == top)
         sites = mutants._sites(mutants._function(ast.Module([node], []), name))
         labels = {mutants._edit(ast.Module([copy.deepcopy(node)], []), name, i) for i in range(len(sites))}
         for entry in mutants.EQUIVALENT:
@@ -77,10 +73,9 @@ def test_negative_constant_edits_parse_back_to_their_edited_tree():
     # ast.unparse writes Constant(-1) bare, so as the base of ** or of an
     # attribute its text would be a different mutant; only those sites are
     # built, each in a module of the one statement that holds the target
-    trees = _trees()
     negative = 0
     for name, (path, _) in mutants.TARGETS.items():
-        tree = trees[path]
+        tree = TREES[path]
         top = next(stmt for stmt in tree.body if getattr(stmt, "name", None) == name.split(".")[0])
         for index, (node, (kind, arg)) in enumerate(mutants._sites(mutants._function(tree, name))):
             if kind == "const" and node.value + arg < 0:

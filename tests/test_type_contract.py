@@ -16,16 +16,16 @@ and every probe for a field declared ``object``; an entry's is the type
 of the entry it replaces.  A bool is never skipped as an int.  A public
 name that is no error, enum or constant and has no row fails the test,
 so new API is covered.  ``CALLS`` is also the table of valid
-constructions that ``test_values.py`` reads.  An ``ast`` scan keeps the
-refusal of a whole parameter declared: every public function that
-annotates a parameter is ``@checked``, and none tests such a parameter's
-type, or the entries of one declared ``tuple[T, ...]``, by hand.
+constructions that ``test_values.py`` reads.  An ``ast`` scan of each
+module in ``test_source_rules.SOURCES`` keeps the refusal of a whole
+parameter declared: every public function that annotates a parameter is
+``@checked``, and none tests such a parameter's type, or the entries of
+one declared ``tuple[T, ...]``, by hand.
 """
 
 import ast
 from enum import Enum
 from inspect import Parameter, signature
-from pathlib import Path
 
 import pytest
 
@@ -45,6 +45,7 @@ from fanobase import (
     cone_case,
 )
 from fanobase.errors import FanobaseError
+from test_source_rules import SOURCES
 
 _F510 = Scroll(5, 1, 0)
 _SPEC = branch_for_taut_anticanonical(Scroll(5, 1, 0))
@@ -247,15 +248,15 @@ def _tested(node, bare=()) -> list:
     return [name.id for name in names if isinstance(name, ast.Name)]
 
 
-def _undeclared(source: str, public) -> list:
-    """(line, function, parameter) per public function of ``source`` that tests an annotated
+def _undeclared(tree, public) -> list:
+    """(line, function, parameter) per public function of the module ``tree`` that tests an annotated
     parameter's type by hand, and (line, function, None) per one that annotates a parameter
     but is not ``@checked``.  A hand test is ``type(p)`` in a comparison, ``isinstance(p, ...)``
     or ``p`` in a tuple given to ``require_integers``.  A test of an entry is one only for a
     parameter ``p`` declared ``tuple[T, ...]``, whose declaration tests its entries: ``p``
     given bare to ``require_integers``, or a loop ``for x in p`` that tests the type of ``x``."""
     found = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if not isinstance(node, ast.FunctionDef) or node.name not in public:
             continue
         annotated = {arg.arg for arg in node.args.args if arg.annotation is not None}
@@ -287,14 +288,12 @@ def test_the_scan_finds_a_hand_written_refusal():
         "    for y in ys:\n        print(y)\n\n"
         "def g(m: int):\n    return m\n\ndef h(m):\n    return m\n\ndef _k(m: int):\n    return m\n"
     )
-    assert sorted(_undeclared(probe, {"f", "g", "h"}), key=lambda hit: hit[0]) == [
+    assert sorted(_undeclared(ast.parse(probe), {"f", "g", "h"}), key=lambda hit: hit[0]) == [
         (3, "f", "s"), (3, "f", "m"), (4, "f", "m"), (9, "f", "ys"), (10, "f", "ys"), (15, "g", None)]
 
 
 def test_public_functions_declare_their_refusals():
     # every public function with an annotated parameter refuses it through @checked, and
     # none repeats that refusal by hand
-    src = Path(fanobase.__file__).resolve().parent
-    found = {path.name: hits for path in sorted(src.glob("*.py"))
-             if (hits := _undeclared(path.read_text(), set(fanobase.__all__)))}
+    found = {name: hits for name, (_, tree) in SOURCES.items() if (hits := _undeclared(tree, set(fanobase.__all__)))}
     assert found == {}

@@ -10,17 +10,14 @@ neither ``dataclasses`` nor ``inspect`` nor any submodule but
 other submodule, ``fanobase.classify`` loads no ``fractions``, the
 ``wps`` and ``blowup`` commands load no ``fanobase.scroll``, and no CLI
 text output loads the JSON layer (nor the report, except
-``verify-paper``, which builds one).
+``verify-paper``, which builds one).  Each cold import is a child started
+by the ``fresh`` fixture of ``conftest.py``, which skips ``site``.
 """
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
 from importlib import import_module
 from inspect import isfunction
-from pathlib import Path
 
 import pytest
 
@@ -243,40 +240,43 @@ def test_public_names_are_read_through_to_the_home_module(monkeypatch):
     assert "h0" not in vars(fanobase)
 
 
-def _cold_import(statement: str) -> set:
+def _cold_import(fresh, statement: str) -> set:
     """Module names loaded by a fresh interpreter that runs ``statement``.
 
     The names come on one marked last line, so whatever ``statement``
     prints itself (a CLI subcommand's output) is not read as a module.
+    The child skips ``site``, so fewer modules are loaded before the
+    statement runs and none that it loads hides behind one ``site``
+    loaded first: an absence asserted here is at least as strict as in
+    an interpreter that runs ``site``.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(fanobase.__file__).resolve().parent.parent))
     marker = "loaded modules:"
-    code = f"import sys; {statement}; print({marker!r}, *sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
+    proc = fresh("-c", f"import sys; {statement}; print({marker!r}, *sorted(sys.modules))")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
     last = out.splitlines()[-1]
     assert last.startswith(marker), out
     return set(last[len(marker):].split())
 
 
-def test_cli_import_loads_no_dataclasses():
+def test_cli_import_loads_no_dataclasses(fresh):
     # the CLI module loads no kernel: each command imports its own modules
-    loaded = _cold_import("import fanobase.cli")
+    loaded = _cold_import(fresh, "import fanobase.cli")
     assert not {"dataclasses", "inspect"} & loaded
     assert {m for m in loaded if m.startswith("fanobase")} == {"fanobase", "fanobase.errors", "fanobase.cli"}
     # a bare import resolves every submodule on first use
-    loaded = _cold_import("import fanobase; fanobase.scroll.h0; fanobase.cli.main; "
+    loaded = _cold_import(fresh, "import fanobase; fanobase.scroll.h0; fanobase.cli.main; "
                           + "; ".join(f"fanobase.{name}" for name in SUBMODULES))
     assert {f"fanobase.{name}" for name in SUBMODULES} <= loaded
     # one kernel module costs that module's import and nothing more
     stdlib = {"json", "argparse", "fractions", "decimal"}
     for module in ("scroll", "wps"):
-        loaded = _cold_import(f"import fanobase.{module}")
+        loaded = _cold_import(fresh, f"import fanobase.{module}")
         assert {m for m in loaded if m.startswith("fanobase")} == {
             "fanobase", "fanobase.errors", f"fanobase.{module}"}
         assert not stdlib & loaded
     # the classifier loads fractions only inside the one suite that compares Fractions
-    assert not {"fractions", "decimal"} & _cold_import("import fanobase.classify")
+    assert not {"fractions", "decimal"} & _cold_import(fresh, "import fanobase.classify")
     # a CLI process loads only its subcommand's modules, and text loads no json
     heavy = {"fanobase.classify", "fanobase.cover", "fanobase.report", "json", "fractions", "decimal"}
     for argv, absent in (
@@ -296,13 +296,13 @@ def test_cli_import_loads_no_dataclasses():
         # the report is built, and rendered as text without json
         (["verify-paper"], {"json"}),
     ):
-        loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
+        loaded = _cold_import(fresh, f"from fanobase.cli import main; assert main({argv!r}) == 0")
         assert not absent & loaded, (argv, absent & loaded)
 
 
-def test_json_output_loads_no_classify():
+def test_json_output_loads_no_classify(fresh):
     # --json needs report.to_json, not the classification report.build_report builds
     argv = ["scroll", "h0", "--d", "5,1,0", "--class", "4,-8", "--json"]
-    loaded = _cold_import(f"from fanobase.cli import main; assert main({argv!r}) == 0")
+    loaded = _cold_import(fresh, f"from fanobase.cli import main; assert main({argv!r}) == 0")
     assert {"fanobase.report", "json"} <= loaded
     assert not {"fanobase.classify", "fractions", "decimal"} & loaded
