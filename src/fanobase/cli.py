@@ -26,6 +26,9 @@ from .errors import FanobaseError
 SUPPORT_LIMIT = 3 * 10**6
 # largest truncation degree `wps hilbert` expands, one coefficient per degree
 HILBERT_LIMIT = 10**5
+# most coefficient steps `wps hilbert` takes: each weight and each relation is
+# one pass over the max + 1 coefficients (100 weights at --max 99999)
+HILBERT_WORK = 10**7
 
 CLASS_HELP = (
     "divisor class h,f meaning h*O(1) + f*F (the system O(k) - l*F is k,-l); "
@@ -152,6 +155,12 @@ def _cmd_hilbert(args) -> dict:
     if n_max > HILBERT_LIMIT:
         raise FanobaseError(
             f"--max {n_max} is more than the {HILBERT_LIMIT} degrees this command expands"
+        )
+    work = (len(args.weights) + len(args.degrees)) * (n_max + 1)
+    if work > HILBERT_WORK:
+        raise FanobaseError(
+            f"{len(args.weights)} weights and {len(args.degrees)} relations to degree {n_max} "
+            f"are {work} coefficient steps, more than the {HILBERT_WORK} this command takes"
         )
     return {"coefficients": hilbert_coeffs(WeightedCI(args.weights, args.degrees), n_max)}
 

@@ -95,8 +95,10 @@ TARGETS = {
                              ("tests/test_cover.py", "tests/test_values.py", "tests/test_classify.py")),
     "WeightedCI._validate": ("src/fanobase/wps.py",
                              ("tests/test_wps.py", "tests/test_values.py", "tests/test_classify.py")),
-    "_series": ("src/fanobase/wps.py", ("tests/test_wps.py", "tests/test_classify.py")),
-    "infer_ring": ("src/fanobase/wps.py", ("tests/test_wps.py", "tests/test_classify.py")),
+    "_series": ("src/fanobase/wps.py",
+                ("tests/test_wps.py", "tests/test_classify.py", "tests/test_acceptance.py")),
+    "infer_ring": ("src/fanobase/wps.py",
+                   ("tests/test_wps.py", "tests/test_classify.py", "tests/test_acceptance.py")),
     "_exponent_range": ("src/fanobase/scroll.py",
                         ("tests/test_scroll.py", "tests/test_cover.py", "tests/test_hirzebruch.py")),
     "analyze_cover": ("src/fanobase/cover.py",

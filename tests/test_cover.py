@@ -95,21 +95,6 @@ def test_analyze_rejects_small_m():
         analyze_cover(2)
 
 
-def test_analyze_boundary_cases():
-    smooth = analyze_cover(3)
-    assert smooth.base == Scroll(3, 0, -1)
-    assert smooth.fiber_mult <= 1
-    assert smooth.verdict is Verdict.PASSES_DU_VAL_NECESSARY
-
-    top = analyze_cover(12)
-    assert top.fiber_mult == 3
-    assert top.verdict is Verdict.PASSES_DU_VAL_NECESSARY
-
-    beyond = analyze_cover(13)
-    assert beyond.fiber_mult == 4
-    assert beyond.verdict is Verdict.FAILS_DU_VAL_NECESSARY
-
-
 def test_fixed_component_forced_exactly_from_four():
     # the unique member of |O(1) - mF| is rigid for every m, but it is
     # forced into the generic branch member only from m = 4 on: at m = 3

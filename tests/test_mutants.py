@@ -5,6 +5,9 @@ table is only as good as the round trip of each target module through
 ``ast.unparse``, and as the names and test modules in ``TARGETS``.  All
 three are checked here in a fraction of a second, instead of after a full
 table run, and so is the outcome plugin each run loads, on stand-in reports.
+Each run reads ``pyproject.toml`` from its copy, as Tier-1 does, so neither
+loads a third-party pytest plugin, which would cost each start most of a
+second.
 """
 
 import ast
@@ -161,3 +164,9 @@ def test_the_copy_is_the_tree_less_dot_entries_and_caches():
     kept = names - mutants.IGNORED(str(mutants.ROOT), names)
     assert not {".git", ".pytest_cache", "__pycache__"} & kept
     assert {"src", "tests", "bench", "demos", "README.md", "pyproject.toml"} <= kept
+
+
+def test_pytest_loads_no_third_party_plugin(pytestconfig):
+    # pyproject.toml's --disable-plugin-autoload: an installed plugin (hypothesis,
+    # pytest-benchmark) would load in every run through its entry point
+    assert pytestconfig.pluginmanager.list_plugin_distinfo() == []

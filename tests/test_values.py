@@ -36,7 +36,6 @@ from fanobase import (
     Report,
     Scroll,
     SurfaceClass,
-    Verdict,
     WeightedCI,
     analyze_cover,
     build_report,
